@@ -101,9 +101,8 @@ def compare_strategies(
             win_rates[(a, b)] = wins / n
             tie_rates[(a, b)] = ties / n
 
-    match = {
-        name: _match_fraction(instances, outputs[name]) for name in strategies
-    }
+    optima = _joint_optima(instances)
+    match = {name: _match_fraction(optima, outputs[name]) for name in strategies}
 
     return StrategyReport(
         score_kind=score_kind,
@@ -121,7 +120,7 @@ def optimum_match_rate(instances, strategy: str, beta: float = DEFAULT_BETA) -> 
     if not instances:
         raise ValueError("empty instance set")
     outputs = [decode(inst, strategy, beta) for inst in instances]
-    return _match_fraction(instances, outputs)
+    return _match_fraction(_joint_optima(instances), outputs)
 
 
 def benchmark(
@@ -184,12 +183,17 @@ def _is_tie(a: float, b: float) -> bool:
     return abs(a - b) <= TIE_TOL
 
 
-def _match_fraction(instances, outputs) -> float:
-    hits = 0
-    for inst, hyp in zip(instances, outputs):
-        optimum = build_viterbi_table(inst, TableMode.JOINT).score(
-            hyp.length, inst.L
-        )
-        if _is_tie(hyp.joint_logprob, optimum):
-            hits += 1
-    return hits / len(instances)
+def _joint_optima(instances) -> list[np.ndarray]:
+    """Per instance, the best joint log-score per output length (a JOINT table's last column)."""
+    return [
+        build_viterbi_table(inst, TableMode.JOINT).alpha[:, -1].copy()  # frees the table
+        for inst in instances
+    ]
+
+
+def _match_fraction(optima, outputs) -> float:
+    hits = sum(
+        _is_tie(hyp.joint_logprob, float(best[hyp.length - 1]))
+        for best, hyp in zip(optima, outputs)
+    )
+    return hits / len(optima)

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -71,7 +70,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc = args.handler(args)
+        text = json.dumps(args.handler(args), indent=2, allow_nan=False)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -86,7 +85,7 @@ def run_cli(argv=None) -> int:
     except (LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    print(json.dumps(doc, indent=2))
+    print(text)
     return EXIT_OK
 
 
@@ -107,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--transition-concentration", type=_positive_float, default=1.0)
     gen.add_argument("--emission-concentration", type=_positive_float, default=1.0)
     gen.add_argument("--sparsity", type=float, default=0.0)
-    gen.add_argument("--workers", type=_positive_int, default=1,
-                     help="parallelize across files (results stay deterministic)")
     gen.set_defaults(handler=_cmd_gen)
 
     dec = sub.add_parser("decode", help="decode one instance file")
@@ -150,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--score", choices=analysis.SCORE_KINDS, default="joint")
     ana.add_argument("--beta", type=_nonnegative_float, default=decoders.DEFAULT_BETA)
     ana.add_argument("--no-validate", action="store_true")
-    ana.add_argument("--workers", type=_positive_int, default=1,
-                     help="parallelize file loading (results stay deterministic)")
     ana.set_defaults(handler=_cmd_analyze)
 
     ben = sub.add_parser("bench", help="time strategies on generated instances")
@@ -179,7 +174,8 @@ def _cmd_gen(args) -> dict:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_one(k: int) -> dict:
+    files = []
+    for k in range(args.count):
         config = GeneratorConfig(
             L=args.length,
             V=args.vocab,
@@ -190,9 +186,7 @@ def _cmd_gen(args) -> dict:
         )
         path = out_dir / f"inst_{args.seed + k}.json"
         save_instance(generate_instance(config), path)
-        return {"path": str(path), "sha256": _digest(path)}
-
-    files = _ordered_map(write_one, range(args.count), args.workers)
+        files.append({"path": str(path), "sha256": _digest(path)})
     return {
         "command": "gen",
         "config": {
@@ -209,7 +203,8 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_decode(args) -> dict:
-    if args.all_lengths and args.strategy not in ("viterbi", "joint-viterbi"):
+    mode = decoders.TABLE_MODES.get(args.strategy)
+    if args.all_lengths and mode is None:
         raise _UsageError("--all-lengths requires a viterbi-family strategy")
     instance = _load(args.input, args.no_validate)
     doc = {
@@ -221,31 +216,22 @@ def _cmd_decode(args) -> dict:
             "validate": not args.no_validate,
         },
     }
-    if args.strategy in ("viterbi", "joint-viterbi"):
-        mode = (
-            decoders.TableMode.PATH
-            if args.strategy == "viterbi"
-            else decoders.TableMode.JOINT
-        )
-        table = decoders.build_viterbi_table(instance, mode)
-        selection = decoders.select_length(table, args.beta)
-        path = decoders.backtrace(table, selection.chosen_M)
-        hyp = decoders.argmax_hypothesis(instance, path)
-        doc["hypothesis"] = _hypothesis_block(hyp, instance)
-        doc["chosen_length"] = selection.chosen_M
+    if mode is None:
+        hyp = decoders.decode(instance, args.strategy, args.beta)
+    else:
+        hyp, selection, table = decoders.table_decode(instance, mode, args.beta)
+    doc["hypothesis"] = _hypothesis_block(hyp, instance)
+    doc["chosen_length"] = hyp.length
+    if mode is not None:
         doc["per_length_scores"] = {
             str(length): {"raw": _sig12(raw), "penalized": _sig12(pen)}
             for length, (raw, pen) in sorted(selection.per_length_scores.items())
         }
-        if args.all_lengths:
-            doc["all_lengths"] = [
-                _hypothesis_block(h, instance)
-                for h in decoders.decode_all_lengths(instance, mode)
-            ]
-    else:
-        hyp = decoders.decode(instance, args.strategy, args.beta)
-        doc["hypothesis"] = _hypothesis_block(hyp, instance)
-        doc["chosen_length"] = hyp.length
+    if args.all_lengths:
+        doc["all_lengths"] = [
+            _hypothesis_block(h, instance)
+            for h in decoders.decode_all_lengths(instance, table)
+        ]
     return doc
 
 
@@ -315,11 +301,7 @@ def _cmd_analyze(args) -> dict:
     files = sorted(in_dir.glob("*.json"))
     if not files:
         raise InstanceFormatError(f"no *.json instance files in {in_dir}")
-    instances = _ordered_map(
-        lambda f: load_instance(f, run_validation=not args.no_validate),
-        files,
-        args.workers,
-    )
+    instances = [_load(f, args.no_validate) for f in files]
     report = analysis.compare_strategies(
         instances, args.strategies, score_kind=args.score, beta=args.beta
     )
@@ -387,14 +369,6 @@ def _load(path, no_validate: bool):
     return load_instance(path, run_validation=not no_validate)
 
 
-def _ordered_map(fn, items, workers: int) -> list:
-    """Map preserving input order; sequential unless workers > 1."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _input_block(path) -> dict:
     return {"path": str(path), "sha256": _digest(path)}
 
@@ -440,14 +414,14 @@ def _positive_float(text: str) -> float:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part.strip()) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -464,3 +438,7 @@ def _strategy_list(text) -> list[str]:
     if not names:
         raise argparse.ArgumentTypeError("need at least one strategy")
     return names
+
+
+if __name__ == "__main__":
+    main()

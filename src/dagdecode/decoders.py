@@ -37,6 +37,10 @@ class TableMode(enum.Enum):
     JOINT = "joint"
 
 
+#: The table each table-based strategy reads.
+TABLE_MODES = {"viterbi": TableMode.PATH, "joint-viterbi": TableMode.JOINT}
+
+
 @dataclass(frozen=True)
 class ViterbiTable:
     """Best-prefix log-scores and backpointers, one row per prefix length.
@@ -116,9 +120,11 @@ def select_length(table: ViterbiTable, beta: float) -> LengthSelection:
 
     Raw scores are already log-space, so ``beta = 0`` reduces to a plain
     argmax over lengths. Lengths that never reach the terminal position are
-    excluded; exact ties go to the larger length.
+    excluded; exact ties go to the larger length. A ``length**beta`` too large
+    for a float counts as infinite, so those lengths score 0 and the larger
+    one wins, as in the ``beta -> inf`` limit.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     terminal = table.alpha[:, table.L - 1]
     per_length: dict[int, tuple[float, float]] = {}
@@ -127,7 +133,10 @@ def select_length(table: ViterbiTable, beta: float) -> LengthSelection:
     for idx in np.flatnonzero(np.isfinite(terminal)):
         length = int(idx) + 1
         raw = float(terminal[idx])
-        penalized = raw / length**beta
+        try:
+            penalized = raw / length**beta
+        except OverflowError:
+            penalized = raw / np.inf
         per_length[length] = (raw, penalized)
         if chosen_score is None or penalized >= chosen_score:
             chosen, chosen_score = length, penalized
@@ -159,17 +168,7 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
 
 def greedy_decode(instance: Instance) -> Hypothesis:
     """Follow the most probable transition from each position until L."""
-    L = instance.L
-    t = 1
-    positions = [1]
-    while t < L:
-        row = instance.log_transitions[t - 1]
-        nxt = int(np.argmax(row))
-        if row[nxt] == LOG_ZERO:
-            raise DeadEndError(f"no outgoing transition from position {t}")
-        t = nxt + 1
-        positions.append(t)
-    return argmax_hypothesis(instance, DecodingPath(tuple(positions)))
+    return _walk(instance, 0.0)
 
 
 def lookahead_decode(instance: Instance) -> Hypothesis:
@@ -179,26 +178,22 @@ def lookahead_decode(instance: Instance) -> Hypothesis:
     is fixed, so there is no transition to weigh it against). Ties prefer
     the earlier position, then the smaller token id.
     """
-    L = instance.L
-    best_emission = instance.log_emissions.max(axis=1)
-    t = 1
-    positions = [1]
-    while t < L:
-        combined = instance.log_transitions[t - 1] + best_emission
-        nxt = int(np.argmax(combined))
-        if combined[nxt] == LOG_ZERO:
-            raise DeadEndError(f"no outgoing transition from position {t}")
-        t = nxt + 1
-        positions.append(t)
-    return argmax_hypothesis(instance, DecodingPath(tuple(positions)))
+    return _walk(instance, instance.log_emissions.max(axis=1))
+
+
+def table_decode(
+    instance: Instance, mode: TableMode, beta: float = DEFAULT_BETA
+) -> tuple[Hypothesis, LengthSelection, ViterbiTable]:
+    """Build the ``mode`` table, select a length by ``beta``, and read its best hypothesis."""
+    table = build_viterbi_table(instance, mode)
+    selection = select_length(table, beta)
+    path = backtrace(table, selection.chosen_M)
+    return argmax_hypothesis(instance, path), selection, table
 
 
 def viterbi_decode(instance: Instance, beta: float = DEFAULT_BETA) -> Hypothesis:
     """Best path by table, then argmax tokens along it."""
-    table = build_viterbi_table(instance, TableMode.PATH)
-    selection = select_length(table, beta)
-    path = backtrace(table, selection.chosen_M)
-    return argmax_hypothesis(instance, path)
+    return table_decode(instance, TableMode.PATH, beta)[0]
 
 
 def joint_viterbi_decode(instance: Instance, beta: float = DEFAULT_BETA) -> Hypothesis:
@@ -208,33 +203,41 @@ def joint_viterbi_decode(instance: Instance, beta: float = DEFAULT_BETA) -> Hypo
     lengths; its joint log-probability equals the table score at the chosen
     length.
     """
-    table = build_viterbi_table(instance, TableMode.JOINT)
-    selection = select_length(table, beta)
-    path = backtrace(table, selection.chosen_M)
-    return argmax_hypothesis(instance, path)
+    return table_decode(instance, TableMode.JOINT, beta)[0]
 
 
-def decode_all_lengths(instance: Instance, mode: TableMode) -> list[Hypothesis]:
-    """One backtraced hypothesis per feasible output length, shortest first."""
-    table = build_viterbi_table(instance, mode)
-    out = []
-    for length in table.feasible_lengths():
-        path = backtrace(table, length)
-        out.append(argmax_hypothesis(instance, path))
-    return out
+def decode_all_lengths(instance: Instance, table: ViterbiTable) -> list[Hypothesis]:
+    """One backtraced hypothesis per feasible output length of ``table``, shortest first."""
+    return [
+        argmax_hypothesis(instance, backtrace(table, length))
+        for length in table.feasible_lengths()
+    ]
 
 
 def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hypothesis:
     """Dispatch to one of the named strategies."""
+    if strategy in TABLE_MODES:
+        return table_decode(instance, TABLE_MODES[strategy], beta)[0]
     if strategy == "greedy":
         return greedy_decode(instance)
     if strategy == "lookahead":
         return lookahead_decode(instance)
-    if strategy == "viterbi":
-        return viterbi_decode(instance, beta)
-    if strategy == "joint-viterbi":
-        return joint_viterbi_decode(instance, beta)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
+def _walk(instance: Instance, bonus) -> Hypothesis:
+    """From position 1, step to the successor maximizing transition + ``bonus`` until L."""
+    L = instance.L
+    t = 1
+    positions = [1]
+    while t < L:
+        combined = instance.log_transitions[t - 1] + bonus
+        nxt = int(np.argmax(combined))
+        if combined[nxt] == LOG_ZERO:
+            raise DeadEndError(f"no outgoing transition from position {t}")
+        t = nxt + 1
+        positions.append(t)
+    return argmax_hypothesis(instance, DecodingPath(tuple(positions)))
 
 
 def _scored_hypothesis(instance: Instance, path, tokens) -> Hypothesis:

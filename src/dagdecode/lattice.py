@@ -206,11 +206,18 @@ def validate(instance: Instance) -> list[str]:
     Checked per transition row t < L: entries at non-later positions are
     ``-inf``, at least one successor is reachable, and the successor mass
     normalizes to 1 within ``NORMALIZATION_TOL`` (in log space). Row L must
-    be entirely ``-inf``, and every emission row must normalize.
+    be entirely ``-inf``, and every emission row must normalize. A table
+    holding NaN is reported by its first NaN entry, 0-based as in the file.
     """
     violations: list[str] = []
     L = instance.L
     trans = instance.log_transitions
+
+    for name, table in (("log_transitions", trans), ("log_emissions", instance.log_emissions)):
+        nan = np.argwhere(np.isnan(table))
+        if nan.size:
+            i, j = nan[0]
+            violations.append(f"{name}[{i}][{j}] is NaN")
 
     for t in range(L):
         row = trans[t]

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from dagdecode import GeneratorConfig, Instance, generate_instance
+from dagdecode import GeneratorConfig, Instance, decoders, generate_instance
 
 # Two fixed lattices used across the suite. The 2-position one admits a
 # single path; the 4-position one has four paths whose products are easy
@@ -27,6 +29,24 @@ def i2() -> Instance:
 @pytest.fixture
 def i4() -> Instance:
     return Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS)
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> list:
+    """Modes of every build_viterbi_table call, whichever module binding made it."""
+    original = decoders.build_viterbi_table
+    builds = []
+
+    def counting(instance, mode):
+        builds.append(mode)
+        return original(instance, mode)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dagdecode" or name.startswith("dagdecode."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return builds
 
 
 def random_instance(seed: int, L: int = 6, V: int = 3, sparsity: float = 0.0,

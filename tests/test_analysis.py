@@ -62,6 +62,12 @@ class TestCompareStrategies:
         second = compare_strategies(instances, ["greedy", "joint-viterbi"], "joint", beta=0.0)
         assert first == second
 
+    def test_one_joint_table_per_instance_for_match_rates(self, table_builds):
+        # viterbi and joint-viterbi build one table each; match rates share one more.
+        instances = random_batch(5, seed0=3000, L=6, V=3)
+        compare_strategies(instances, ["greedy", "lookahead", "viterbi", "joint-viterbi"])
+        assert len(table_builds) == 3 * len(instances)
+
     def test_greedy_never_beats_viterbi_on_path_score(self):
         # Same dominance statement as the joint case, read on path scores.
         for inst in random_batch(100, seed0=2500, L=8, V=2):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dagdecode import Instance, save_instance
+import dagdecode
+from dagdecode import Instance, TableMode, save_instance, scoring
 from dagdecode.cli import run_cli
 
 
@@ -73,6 +78,14 @@ class TestDecode:
         assert lengths == [2, 3, 4]
         assert doc["all_lengths"][1]["path"] == [1, 2, 4]
 
+    def test_all_lengths_builds_one_table(self, capsys, i4_file, table_builds):
+        code, _, _ = run(
+            capsys,
+            ["decode", "--strategy", "joint-viterbi", "--input", str(i4_file), "--all-lengths"],
+        )
+        assert code == 0
+        assert table_builds == [TableMode.JOINT]
+
     def test_all_lengths_needs_table_strategy(self, capsys, i4_file):
         code, _, err = run(
             capsys,
@@ -80,6 +93,33 @@ class TestDecode:
         )
         assert code == 1
         assert "viterbi" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_is_usage_error(self, capsys, i4_file, beta):
+        code, out, err = run(
+            capsys, ["decode", "--strategy", "viterbi", "--beta", beta, "--input", str(i4_file)]
+        )
+        assert code == 1
+        assert out == ""
+        assert "--beta" in err
+
+    def test_huge_beta_picks_longest_length(self, capsys, i4_file):
+        # 3**1000 and 4**1000 overflow a float; they count as infinite penalties.
+        code, out, _ = run(
+            capsys,
+            ["decode", "--strategy", "joint-viterbi", "--beta", "1000", "--input", str(i4_file)],
+        )
+        assert code == 0
+        assert json.loads(out)["chosen_length"] == 4
+
+    def test_non_finite_output_is_data_error(self, capsys, i2_file, monkeypatch):
+        monkeypatch.setattr(scoring, "path_log_prob", lambda instance, path: math.nan)
+        code, out, err = run(
+            capsys, ["score", "--input", str(i2_file), "--path", "1,2", "--tokens", "0,1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -173,6 +213,14 @@ class TestScore:
             capsys, ["score", "--input", str(i4_file), "--path", "1,x", "--tokens", "0,1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("path", ["1,,4", "1,4,", ",1,4"])
+    def test_empty_list_item_is_usage_error(self, capsys, i4_file, path):
+        code, _, err = run(
+            capsys, ["score", "--input", str(i4_file), "--path", path, "--tokens", "0,1"]
+        )
+        assert code == 1
+        assert "--path" in err
 
 
 class TestOracle:
@@ -320,24 +368,6 @@ class TestDeterminism:
             b = (tmp_path / "b" / f"inst_{k}.json").read_bytes()
             assert a == b
 
-    def test_workers_do_not_change_results(self, capsys, tmp_path):
-        args = ["gen", "--length", "6", "--vocab", "3", "--seed", "30", "--count", "4"]
-        run(capsys, args + ["--out", str(tmp_path / "seq")])
-        run(capsys, args + ["--out", str(tmp_path / "par"), "--workers", "4"])
-        for k in range(30, 34):
-            assert (tmp_path / "seq" / f"inst_{k}.json").read_bytes() == (
-                tmp_path / "par" / f"inst_{k}.json"
-            ).read_bytes()
-        _, seq_out, _ = run(
-            capsys, ["analyze", "--inputs", str(tmp_path / "seq"), "--beta", "0"]
-        )
-        _, par_out, _ = run(
-            capsys,
-            ["analyze", "--inputs", str(tmp_path / "seq"), "--beta", "0",
-             "--workers", "3"],
-        )
-        assert seq_out == par_out
-
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):
@@ -347,3 +377,19 @@ class TestHelp:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([]) == 1
         capsys.readouterr()
+
+    def test_python_dash_m_runs_cli(self, i4_file):
+        src = str(Path(dagdecode.__file__).resolve().parents[1])
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "dagdecode.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+            )
+
+        proc = cli("decode", "--strategy", "greedy", "--input", str(i4_file))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["hypothesis"]["path"] == [1, 2, 3, 4]
+        proc = cli("score", "--input", str(i4_file), "--path", "1,,4", "--tokens", "0,1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""

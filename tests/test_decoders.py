@@ -283,17 +283,18 @@ class TestJointViterbiDecode:
 
 class TestDecodeAllLengths:
     def test_i2(self, i2):
-        assert len(decode_all_lengths(i2, TableMode.PATH)) == 1
+        assert len(decode_all_lengths(i2, build_viterbi_table(i2, TableMode.PATH))) == 1
 
     def test_i4_path_scores(self, i4):
-        hyps = decode_all_lengths(i4, TableMode.PATH)
+        hyps = decode_all_lengths(i4, build_viterbi_table(i4, TableMode.PATH))
         assert [h.length for h in hyps] == [2, 3, 4]
         assert [h.path_logprob for h in hyps] == pytest.approx(
             [math.log(0.1), math.log(0.28), math.log(0.42)], rel=1e-12
         )
 
     def test_i4_joint_length_three(self, i4):
-        hyps = {h.length: h for h in decode_all_lengths(i4, TableMode.JOINT)}
+        table = build_viterbi_table(i4, TableMode.JOINT)
+        hyps = {h.length: h for h in decode_all_lengths(i4, table)}
         assert hyps[3].path.positions == (1, 2, 4)
         assert hyps[3].joint_logprob == pytest.approx(math.log(0.10584), rel=1e-12)
 
@@ -308,7 +309,7 @@ class TestDecodeAllLengths:
             ],
             [[1.0, 0.0]] * 4,
         )
-        hyps = decode_all_lengths(inst, TableMode.PATH)
+        hyps = decode_all_lengths(inst, build_viterbi_table(inst, TableMode.PATH))
         assert [h.length for h in hyps] == [2]
 
 

@@ -78,6 +78,19 @@ class TestInstance:
         broken = Instance(L=2, V=2, log_transitions=i2.log_transitions, log_emissions=emis)
         assert any("emission row 2" in v for v in validate(broken))
 
+    @pytest.mark.parametrize(
+        "table, where",
+        [("log_transitions", (0, 2)), ("log_transitions", (2, 0)), ("log_emissions", (1, 0))],
+    )
+    def test_nan_entry_named(self, i4, table, where):
+        tables = {
+            "log_transitions": np.array(i4.log_transitions),
+            "log_emissions": np.array(i4.log_emissions),
+        }
+        tables[table][where] = math.nan
+        broken = Instance(L=4, V=2, **tables)
+        assert f"{table}[{where[0]}][{where[1]}] is NaN" in validate(broken)
+
     def test_tables_are_frozen(self, i2):
         with pytest.raises(ValueError):
             i2.log_transitions[0, 1] = 0.0
