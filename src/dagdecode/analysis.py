@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring
-from .decoders import DEFAULT_BETA, TableMode, build_viterbi_table, decode
+from .decoders import (
+    DEFAULT_BETA,
+    TABLE_MODES,
+    TableMode,
+    build_viterbi_table,
+    decode,
+    table_decode,
+)
 from .lattice import Hypothesis, Instance
 
 SCORE_KINDS = ("joint", "marginal")
@@ -41,7 +48,6 @@ class StrategyReport:
     pairwise_win_rates: dict[tuple[str, str], float]
     pairwise_tie_rates: dict[tuple[str, str], float]
     optimum_match_rate: dict[str, float]
-    timings: dict[str, TimingStats] | None = None
 
 
 def compare_strategies(
@@ -72,9 +78,9 @@ def compare_strategies(
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"score_kind must be one of {SCORE_KINDS}, got {score_kind!r}")
 
-    outputs = {
-        name: [decode(inst, name, beta) for inst in instances] for name in strategies
-    }
+    per_instance = [_decode_instance(inst, strategies, beta) for inst in instances]
+    optima = [best for _, best in per_instance]
+    outputs = {name: [hyps[name] for hyps, _ in per_instance] for name in strategies}
     scores = {
         name: [
             _score(inst, hyp, score_kind)
@@ -101,7 +107,6 @@ def compare_strategies(
             win_rates[(a, b)] = wins / n
             tie_rates[(a, b)] = ties / n
 
-    optima = _joint_optima(instances)
     match = {name: _match_fraction(optima, outputs[name]) for name in strategies}
 
     return StrategyReport(
@@ -116,11 +121,7 @@ def compare_strategies(
 def optimum_match_rate(instances, strategy: str, beta: float = DEFAULT_BETA) -> float:
     """Fraction of instances where a strategy's joint score is optimal
     among all outputs of its own length."""
-    instances = list(instances)
-    if not instances:
-        raise ValueError("empty instance set")
-    outputs = [decode(inst, strategy, beta) for inst in instances]
-    return _match_fraction(_joint_optima(instances), outputs)
+    return compare_strategies(instances, [strategy], beta=beta).optimum_match_rate[strategy]
 
 
 def benchmark(
@@ -183,12 +184,23 @@ def _is_tie(a: float, b: float) -> bool:
     return abs(a - b) <= TIE_TOL
 
 
-def _joint_optima(instances) -> list[np.ndarray]:
-    """Per instance, the best joint log-score per output length (a JOINT table's last column)."""
-    return [
-        build_viterbi_table(inst, TableMode.JOINT).alpha[:, -1].copy()  # frees the table
-        for inst in instances
-    ]
+def _decode_instance(instance: Instance, strategies, beta: float):
+    """Every strategy's hypothesis on one instance, and its best joint log-score per length.
+
+    The scores are the last column of the JOINT table; the joint-viterbi
+    decode's own table supplies it when that strategy runs, so the table is
+    built once per instance either way. Only the column outlives the call.
+    """
+    hyps = {}
+    joint = None
+    for name in strategies:
+        if TABLE_MODES.get(name) is TableMode.JOINT:
+            hyps[name], _, joint = table_decode(instance, TableMode.JOINT, beta)
+        else:
+            hyps[name] = decode(instance, name, beta)
+    if joint is None:
+        joint = build_viterbi_table(instance, TableMode.JOINT)
+    return hyps, joint.alpha[:, -1].copy()
 
 
 def _match_fraction(optima, outputs) -> float:

@@ -21,36 +21,18 @@ from pathlib import Path
 from . import analysis, decoders, oracle, scoring
 from .errors import (
     DeadEndError,
-    EnumerationCapError,
-    GeneratorConfigError,
     InfeasibleLengthError,
     InstanceFormatError,
-    InstanceValidationError,
     LatticeError,
-    PathShapeError,
-    ShapeError,
     UnreachableTerminalError,
-    VocabError,
 )
-from .io import GeneratorConfig, generate_instance, load_instance, save_instance
+from .io import GeneratorConfig, generate_instance, parse_instance, save_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
-_DATA_ERRORS = (
-    InstanceFormatError,
-    InstanceValidationError,
-    ShapeError,
-    VocabError,
-    PathShapeError,
-    EnumerationCapError,
-    GeneratorConfigError,
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-)
 _INFEASIBLE_ERRORS = (InfeasibleLengthError, UnreachableTerminalError, DeadEndError)
 
 
@@ -79,10 +61,7 @@ def run_cli(argv=None) -> int:
     except _INFEASIBLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (LatticeError, ValueError) as exc:
+    except (LatticeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     print(text)
@@ -186,7 +165,8 @@ def _cmd_gen(args) -> dict:
         )
         path = out_dir / f"inst_{args.seed + k}.json"
         save_instance(generate_instance(config), path)
-        files.append({"path": str(path), "sha256": _digest(path)})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        files.append({"path": str(path), "sha256": digest})
     return {
         "command": "gen",
         "config": {
@@ -206,10 +186,10 @@ def _cmd_decode(args) -> dict:
     mode = decoders.TABLE_MODES.get(args.strategy)
     if args.all_lengths and mode is None:
         raise _UsageError("--all-lengths requires a viterbi-family strategy")
-    instance = _load(args.input, args.no_validate)
+    instance, source = _load(args.input, args.no_validate)
     doc = {
         "command": "decode",
-        "input": _input_block(args.input),
+        "input": source,
         "config": {
             "strategy": args.strategy,
             "beta": args.beta,
@@ -236,12 +216,12 @@ def _cmd_decode(args) -> dict:
 
 
 def _cmd_score(args) -> dict:
-    instance = _load(args.input, args.no_validate)
+    instance, source = _load(args.input, args.no_validate)
     path_lp = scoring.path_log_prob(instance, args.path)
     emis_lp = scoring.translation_given_path_log_prob(instance, args.path, args.tokens)
     doc = {
         "command": "score",
-        "input": _input_block(args.input),
+        "input": source,
         "config": {
             "path": args.path,
             "tokens": args.tokens,
@@ -261,10 +241,10 @@ def _cmd_score(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    instance = _load(args.input, args.no_validate)
+    instance, source = _load(args.input, args.no_validate)
     doc = {
         "command": "oracle",
-        "input": _input_block(args.input),
+        "input": source,
         "config": {"mode": args.mode, "cap": args.cap},
     }
     if args.mode == "marginal":
@@ -301,7 +281,7 @@ def _cmd_analyze(args) -> dict:
     files = sorted(in_dir.glob("*.json"))
     if not files:
         raise InstanceFormatError(f"no *.json instance files in {in_dir}")
-    instances = [_load(f, args.no_validate) for f in files]
+    instances, sources = zip(*(_load(f, args.no_validate) for f in files))
     report = analysis.compare_strategies(
         instances, args.strategies, score_kind=args.score, beta=args.beta
     )
@@ -309,7 +289,7 @@ def _cmd_analyze(args) -> dict:
         "command": "analyze",
         "inputs": {
             "dir": str(in_dir),
-            "files": [{"path": str(f), "sha256": _digest(f)} for f in files],
+            "files": list(sources),
         },
         "config": {
             "strategies": args.strategies,
@@ -366,15 +346,10 @@ def _cmd_bench(args) -> dict:
 
 
 def _load(path, no_validate: bool):
-    return load_instance(path, run_validation=not no_validate)
-
-
-def _input_block(path) -> dict:
-    return {"path": str(path), "sha256": _digest(path)}
-
-
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Read an instance file once: the parsed instance and the path and sha256 of those bytes."""
+    data = Path(path).read_bytes()
+    instance = parse_instance(data.decode(), run_validation=not no_validate)
+    return instance, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _hypothesis_block(hyp, instance) -> dict:
@@ -407,8 +382,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -426,9 +401,7 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _strategy_list(text) -> list[str]:
-    if isinstance(text, list):
-        return text
+def _strategy_list(text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     unknown = [n for n in names if n not in decoders.STRATEGIES]
     if unknown:

@@ -45,8 +45,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.L < 1 or self.V < 1:
             raise GeneratorConfigError(f"L and V must be >= 1, got L={self.L} V={self.V}")
-        if self.transition_concentration <= 0 or self.emission_concentration <= 0:
-            raise GeneratorConfigError("concentrations must be > 0")
+        for c in (self.transition_concentration, self.emission_concentration):
+            if not 0 < c < math.inf:
+                raise GeneratorConfigError(f"concentrations must be finite and > 0, got {c}")
         if not 0.0 <= self.sparsity < 1.0:
             raise GeneratorConfigError(
                 f"sparsity must lie in [0, 1) to keep every row reachable, "
@@ -110,7 +111,7 @@ def instance_from_dict(doc, run_validation: bool = True) -> Instance:
         if key not in doc:
             raise InstanceFormatError(f"missing required key {key!r}")
     L, V = doc["L"], doc["V"]
-    if not isinstance(L, int) or not isinstance(V, int) or L < 1 or V < 1:
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (L, V)):
         raise InstanceFormatError(f"L and V must be positive integers, got L={L!r} V={V!r}")
 
     trans = _lists_to_table(doc["log_transitions"], "log_transitions")

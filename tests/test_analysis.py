@@ -3,6 +3,7 @@ import math
 import pytest
 
 from dagdecode import (
+    TableMode,
     TimingStats,
     benchmark,
     compare_strategies,
@@ -63,10 +64,13 @@ class TestCompareStrategies:
         assert first == second
 
     def test_one_joint_table_per_instance_for_match_rates(self, table_builds):
-        # viterbi and joint-viterbi build one table each; match rates share one more.
+        # viterbi and joint-viterbi build one table each; match rates read joint-viterbi's.
         instances = random_batch(5, seed0=3000, L=6, V=3)
         compare_strategies(instances, ["greedy", "lookahead", "viterbi", "joint-viterbi"])
-        assert len(table_builds) == 3 * len(instances)
+        assert len(table_builds) == 2 * len(instances)
+        table_builds.clear()
+        optimum_match_rate(instances, "joint-viterbi")
+        assert table_builds == [TableMode.JOINT] * len(instances)
 
     def test_greedy_never_beats_viterbi_on_path_score(self):
         # Same dominance statement as the joint case, read on path scores.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -127,6 +128,22 @@ class TestDecode:
         )
         assert code == 2
         assert err
+
+    def test_input_file_read_once(self, capsys, i4_file, monkeypatch):
+        reads = []
+        for attr in ("read_bytes", "read_text"):
+            original = getattr(Path, attr)
+
+            def counting(path, *args, _original=original, **kwargs):
+                reads.append(path)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, attr, counting)
+        code, out, _ = run(capsys, ["decode", "--strategy", "viterbi", "--input", str(i4_file)])
+        assert code == 0
+        assert reads == [i4_file]
+        digest = hashlib.sha256(i4_file.read_bytes()).hexdigest()
+        assert json.loads(out)["input"]["sha256"] == digest
 
     def test_unknown_strategy_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(capsys, ["decode", "--strategy", "beam", "--input", str(i4_file)])
@@ -319,6 +336,49 @@ class TestGenAnalyzeBench:
         assert doc["report"]["win_rates"]["lookahead>joint-viterbi"] == 0.0
         assert doc["report"]["optimum_match_rate"]["joint-viterbi"] == 1.0
         assert len(doc["inputs"]["files"]) == 5
+
+    def test_analyze_path_strategy_without_terminal_emission(self, capsys, tmp_path, i4):
+        # Every emission at the last position is impossible, so no JOINT length is
+        # feasible; a viterbi-only comparison still reads the JOINT optima and succeeds.
+        emis = np.array(i4.log_emissions)
+        emis[-1, :] = -math.inf
+        in_dir = tmp_path / "set"
+        in_dir.mkdir()
+        save_instance(
+            Instance(L=4, V=2, log_transitions=i4.log_transitions, log_emissions=emis),
+            in_dir / "a.json",
+        )
+        code, out, _ = run(
+            capsys,
+            ["analyze", "--inputs", str(in_dir), "--no-validate", "--strategies", "viterbi"],
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["optimum_match_rate"] == {"viterbi": 1.0}
+
+    def test_gen_into_existing_file_is_data_error(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run(
+            capsys, ["gen", "--length", "4", "--vocab", "2", "--out", str(target)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag", ["--transition-concentration", "--emission-concentration"]
+    )
+    def test_non_finite_concentration_is_usage_error(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "gen"
+        code, out, err = run(
+            capsys,
+            ["gen", "--length", "4", "--vocab", "2", flag, value, "--out", str(out_dir)],
+        )
+        assert code == 1
+        assert out == ""
+        assert flag in err
+        assert not out_dir.exists()
 
     def test_analyze_empty_dir_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"

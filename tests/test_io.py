@@ -90,6 +90,14 @@ class TestParseErrors:
             instance_from_dict(doc)
         assert any("row 1" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key", ["L", "V"])
+    def test_boolean_size_rejected(self, key):
+        # bool is a subclass of int; true must not pass as 1.
+        doc = {"L": 1, "V": 1, "log_transitions": [[None]], "log_emissions": [[0.0]]}
+        doc[key] = True
+        with pytest.raises(InstanceFormatError, match="positive integers"):
+            instance_from_dict(doc)
+
     def test_validation_override(self, i2):
         doc = instance_to_dict(i2)
         doc["log_transitions"][0][1] = math.log(0.5)
@@ -137,6 +145,12 @@ class TestGenerator:
             GeneratorConfig(L=2, V=2, seed=0, sparsity=1.0)
         with pytest.raises(GeneratorConfigError):
             GeneratorConfig(L=2, V=2, seed=0, transition_concentration=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["transition_concentration", "emission_concentration"])
+    def test_non_finite_concentration_rejected(self, field, value):
+        with pytest.raises(GeneratorConfigError, match="finite"):
+            GeneratorConfig(L=2, V=2, seed=0, **{field: value})
 
     def test_low_concentration_lowers_transition_entropy(self):
         # Direction only: spikier Dirichlet draws mean lower mean entropy.
