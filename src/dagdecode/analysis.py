@@ -129,9 +129,8 @@ def benchmark(
     strategies,
     repetitions: int,
     beta: float = DEFAULT_BETA,
-    baseline: str | None = None,
 ) -> dict[str, TimingStats]:
-    """Mean and std of per-instance decode wall time, plus a baseline ratio.
+    """Mean and std of per-instance decode wall time, plus the ratio to the first strategy.
 
     One untimed warm-up pass per strategy precedes ``repetitions`` timed
     passes (repetitions >= 3). Timing runs sequentially on purpose; do not
@@ -143,9 +142,6 @@ def benchmark(
         raise ValueError("empty instance set")
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    baseline = baseline or strategies[0]
-    if baseline not in strategies:
-        raise ValueError(f"baseline {baseline!r} not among strategies {strategies}")
 
     per_instance: dict[str, list[float]] = {}
     for name in strategies:
@@ -166,7 +162,7 @@ def benchmark(
         name: TimingStats(
             mean_seconds=means[name],
             std_seconds=stds[name],
-            ratio_vs_baseline=means[name] / means[baseline],
+            ratio_vs_baseline=means[name] / means[strategies[0]],
         )
         for name in strategies
     }

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import analysis, decoders, oracle, scoring
 from .errors import (
     DeadEndError,
+    GeneratorConfigError,
     InfeasibleLengthError,
     InstanceFormatError,
     LatticeError,
@@ -53,7 +54,7 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = json.dumps(args.handler(args), indent=2, allow_nan=False)
-    except _UsageError as exc:
+    except (_UsageError, GeneratorConfigError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help and --version paths
@@ -138,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--beta", type=_nonnegative_float, default=decoders.DEFAULT_BETA)
-    ben.add_argument("--baseline", help="ratio denominator; defaults to first strategy")
     ben.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -150,12 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> dict:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    files = []
-    for k in range(args.count):
-        config = GeneratorConfig(
+    configs = [
+        GeneratorConfig(
             L=args.length,
             V=args.vocab,
             seed=args.seed + k,
@@ -163,7 +159,14 @@ def _cmd_gen(args) -> dict:
             emission_concentration=args.emission_concentration,
             sparsity=args.sparsity,
         )
-        path = out_dir / f"inst_{args.seed + k}.json"
+        for k in range(args.count)
+    ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    files = []
+    for config in configs:
+        path = out_dir / f"inst_{config.seed}.json"
         save_instance(generate_instance(config), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         files.append({"path": str(path), "sha256": digest})
@@ -314,16 +317,11 @@ def _cmd_analyze(args) -> dict:
 def _cmd_bench(args) -> dict:
     if args.reps < 3:
         raise _UsageError("--reps must be >= 3")
-    baseline = args.baseline or args.strategies[0]
-    if baseline not in args.strategies:
-        raise _UsageError(f"--baseline {baseline!r} not among {args.strategies}")
     instances = [
         generate_instance(GeneratorConfig(L=args.length, V=args.vocab, seed=args.seed + k))
         for k in range(args.count)
     ]
-    timings = analysis.benchmark(
-        instances, args.strategies, repetitions=args.reps, beta=args.beta, baseline=baseline
-    )
+    timings = analysis.benchmark(instances, args.strategies, repetitions=args.reps, beta=args.beta)
     return {
         "command": "bench",
         "config": {
@@ -334,7 +332,7 @@ def _cmd_bench(args) -> dict:
             "seed": args.seed,
             "beta": args.beta,
             "strategies": args.strategies,
-            "baseline": baseline,
+            "baseline": args.strategies[0],
         },
         "timings": {name: asdict(stats) for name, stats in timings.items()},
     }
@@ -410,6 +408,9 @@ def _strategy_list(text: str) -> list[str]:
         )
     if not names:
         raise argparse.ArgumentTypeError("need at least one strategy")
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise argparse.ArgumentTypeError(f"duplicate strategies {duplicates}")
     return names
 
 

@@ -47,10 +47,10 @@ class ViterbiTable:
 
     ``alpha[i-1, t-1]`` is the best log-score of any length-i prefix path
     from position 1 to position t; ``psi[i-1, t-1]`` is the 1-based
-    predecessor position achieving it (0 where there is none). PATH mode
-    scores transitions only; JOINT mode uses the emission-augmented
-    transition table and seeds the start cell with position 1's best
-    emission log-probability.
+    predecessor position achieving it (0 where there is none), stored in the
+    narrowest unsigned dtype that holds L. PATH mode scores transitions
+    only; JOINT mode uses the emission-augmented transition table and seeds
+    the start cell with position 1's best emission log-probability.
     """
 
     alpha: np.ndarray
@@ -101,7 +101,7 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
         start = 0.0
 
     alpha = np.full((L, L), LOG_ZERO)
-    psi = np.zeros((L, L), dtype=np.int64)
+    psi = np.zeros((L, L), dtype=np.min_scalar_type(L))
     alpha[0, 0] = start
     # weights_t[t, t'] views the hop t' -> t so each pass reduces along axis 1.
     weights_t = np.ascontiguousarray(weights.T)

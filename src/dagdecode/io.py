@@ -15,14 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    GeneratorConfigError,
-    InstanceFormatError,
-    InstanceValidationError,
-    ShapeError,
-)
+from .errors import GeneratorConfigError, InstanceFormatError, InstanceValidationError
 from .lattice import Instance, validate
-from .logmath import LOG_ZERO, log_from_prob
+from .logmath import LOG_ZERO
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.L < 1 or self.V < 1:
             raise GeneratorConfigError(f"L and V must be >= 1, got L={self.L} V={self.V}")
+        if self.seed < 0:
+            raise GeneratorConfigError(f"seed must be >= 0, got {self.seed}")
         for c in (self.transition_concentration, self.emission_concentration):
             if not 0 < c < math.inf:
                 raise GeneratorConfigError(f"concentrations must be finite and > 0, got {c}")
@@ -73,13 +70,7 @@ def generate_instance(config: GeneratorConfig) -> Instance:
 
     emissions = rng.dirichlet(np.full(V, config.emission_concentration), size=L)
 
-    return Instance(
-        L=L,
-        V=V,
-        log_transitions=log_from_prob(transitions),
-        log_emissions=log_from_prob(emissions),
-        meta={"generator": asdict(config)},
-    )
+    return Instance.from_probs(transitions, emissions, meta={"generator": asdict(config)})
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -116,10 +107,6 @@ def instance_from_dict(doc, run_validation: bool = True) -> Instance:
 
     trans = _lists_to_table(doc["log_transitions"], "log_transitions")
     emis = _lists_to_table(doc["log_emissions"], "log_emissions")
-    if trans.shape != (L, L):
-        raise ShapeError(f"log_transitions has shape {trans.shape}, expected {(L, L)}")
-    if emis.shape != (L, V):
-        raise ShapeError(f"log_emissions has shape {emis.shape}, expected {(L, V)}")
 
     vocab = doc.get("vocab")
     if vocab is not None and (

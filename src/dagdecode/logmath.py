@@ -18,19 +18,18 @@ def logsumexp(values, axis=None):
     """log(sum(exp(values))) with max-shift stabilization.
 
     Sums over an empty set or over all ``-inf`` entries yield ``-inf``.
-    Returns a plain float when ``axis`` is None, an ndarray otherwise.
+    Returns a plain float when ``axis`` is None or ``values`` is empty, an
+    ndarray otherwise.
     """
     a = np.asarray(values, dtype=np.float64)
     if a.size == 0:
-        if axis is None:
-            return LOG_ZERO
-        return np.full(_reduced_shape(a.shape, axis), LOG_ZERO)
+        return LOG_ZERO
     shift = np.max(a, axis=axis, keepdims=True)
     # Rows with no finite entry would produce -inf - -inf = nan; shift by 0.
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
     total = np.sum(np.exp(a - safe_shift), axis=axis)
     with np.errstate(divide="ignore"):
-        out = np.log(total) + np.squeeze(safe_shift, axis=axis if axis is not None else None)
+        out = np.log(total) + np.squeeze(safe_shift, axis=axis)
     if axis is None:
         return float(out)
     return out
@@ -60,9 +59,3 @@ def entropy_nats(log_probs):
         return 0.0
     lp = lp[finite]
     return float(-np.sum(np.exp(lp) * lp))
-
-
-def _reduced_shape(shape, axis):
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    return tuple(s for i, s in enumerate(shape) if i not in axes)

@@ -110,7 +110,3 @@ class TestBenchmark:
     def test_too_few_repetitions_rejected(self, i2):
         with pytest.raises(ValueError):
             benchmark([i2], ["greedy"], repetitions=1)
-
-    def test_unknown_baseline_rejected(self, i2):
-        with pytest.raises(ValueError):
-            benchmark([i2], ["greedy"], repetitions=3, baseline="viterbi")

@@ -380,6 +380,43 @@ class TestGenAnalyzeBench:
         assert flag in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sparsity", "nan"), ("--sparsity", "1.5"), ("--sparsity", "-0.1"), ("--seed", "-3")],
+    )
+    def test_bad_generator_value_is_usage_error(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "gen"
+        code, out, err = run(
+            capsys,
+            ["gen", "--length", "4", "--vocab", "2", flag, value, "--out", str(out_dir)],
+        )
+        assert code == 1
+        assert out == ""
+        assert value in err
+        assert not out_dir.exists()
+
+    def test_bench_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["bench", "--length", "8", "--vocab", "2", "--reps", "3", "--seed", "-1",
+             "--strategies", "greedy"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "-1" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    def test_duplicate_strategies_are_usage_error(self, capsys, tmp_path, command):
+        argv = (
+            ["analyze", "--inputs", str(tmp_path)]
+            if command == "analyze"
+            else ["bench", "--length", "8", "--vocab", "2", "--reps", "3"]
+        )
+        code, out, err = run(capsys, argv + ["--strategies", "joint-viterbi,greedy,joint-viterbi"])
+        assert code == 1
+        assert out == ""
+        assert "duplicate strategies ['joint-viterbi']" in err
+
     def test_analyze_empty_dir_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -402,6 +439,16 @@ class TestGenAnalyzeBench:
         doc = json.loads(out)
         assert doc["timings"]["greedy"]["ratio_vs_baseline"] == 1.0
         assert doc["timings"]["joint-viterbi"]["mean_seconds"] > 0.0
+        assert doc["config"]["baseline"] == "greedy"
+
+    def test_bench_has_no_baseline_option(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["bench", "--length", "8", "--vocab", "2", "--reps", "3", "--baseline", "greedy"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --baseline" in err
 
     def test_bench_too_few_reps_is_usage_error(self, capsys):
         code, _, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -128,6 +129,27 @@ class TestViterbiTable:
         )
         table = build_viterbi_table(inst, TableMode.PATH)
         assert table.predecessor(3, 4) == 2
+
+    @pytest.mark.parametrize(
+        "L, dtype, digest",
+        [
+            (200, np.uint8, "d465771816b87d7133477bab34f57684cea06531d2824c31846f11cfa1a01c61"),
+            (300, np.uint16, "25728921dd25af29739e078eb82d82de37eb37f49688c1d42328fd82cc4ef323"),
+        ],
+        ids=["L200", "L300"],
+    )
+    def test_backpointers_in_narrowest_dtype(self, L, dtype, digest):
+        # The digest covers every backtraced path of both tables as int64
+        # backpointers gave them.
+        inst = random_instance(7, L=L, V=3, sparsity=0.3)
+        paths = hashlib.sha256()
+        for mode in (TableMode.PATH, TableMode.JOINT):
+            table = build_viterbi_table(inst, mode)
+            assert table.psi.dtype == dtype
+            assert isinstance(table.predecessor(L, L), int)
+            for length in table.feasible_lengths():
+                paths.update(repr(backtrace(table, length).positions).encode())
+        assert paths.hexdigest() == digest
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
     def test_invariants_on_random_instances(self, mode):

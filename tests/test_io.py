@@ -68,7 +68,11 @@ class TestParseErrors:
     def test_shape_mismatch(self, i4):
         doc = instance_to_dict(i4)
         doc["log_transitions"] = [[None] * 3 for _ in range(3)]
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"log_transitions has shape \(3, 3\), expected \(4, 4\)"):
+            instance_from_dict(doc)
+        doc = instance_to_dict(i4)
+        doc["log_emissions"] = doc["log_emissions"][:3]
+        with pytest.raises(ShapeError, match=r"log_emissions has shape \(3, 2\), expected \(4, 2\)"):
             instance_from_dict(doc)
 
     def test_ragged_rows(self, i2):
@@ -145,6 +149,8 @@ class TestGenerator:
             GeneratorConfig(L=2, V=2, seed=0, sparsity=1.0)
         with pytest.raises(GeneratorConfigError):
             GeneratorConfig(L=2, V=2, seed=0, transition_concentration=0.0)
+        with pytest.raises(GeneratorConfigError, match="seed must be >= 0, got -3"):
+            GeneratorConfig(L=2, V=2, seed=-3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["transition_concentration", "emission_concentration"])
