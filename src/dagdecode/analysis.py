@@ -16,6 +16,7 @@ import numpy as np
 from . import scoring
 from .decoders import (
     DEFAULT_BETA,
+    STRATEGIES,
     TABLE_MODES,
     TableMode,
     build_viterbi_table,
@@ -62,7 +63,7 @@ def compare_strategies(
     ----------
     instances : sequence of Instance
     strategies : sequence of str
-        Names accepted by :func:`dagdecode.decoders.decode`.
+        Distinct names accepted by :func:`dagdecode.decoders.decode`.
     score_kind : "joint" or "marginal"
         Joint scores read the hypothesis directly; marginal scores sum the
         hypothesis tokens' probability over all paths of their length.
@@ -72,7 +73,7 @@ def compare_strategies(
     The report is deterministic given the instance order.
     """
     instances = list(instances)
-    strategies = list(strategies)
+    strategies = check_strategies(strategies)
     if not instances:
         raise ValueError("empty instance set")
     if score_kind not in SCORE_KINDS:
@@ -137,7 +138,7 @@ def benchmark(
     parallelize it.
     """
     instances = list(instances)
-    strategies = list(strategies)
+    strategies = check_strategies(strategies)
     if not instances:
         raise ValueError("empty instance set")
     if repetitions < 3:
@@ -166,6 +167,20 @@ def benchmark(
         )
         for name in strategies
     }
+
+
+def check_strategies(strategies) -> list[str]:
+    """The names as a list; ValueError if one is unknown or named twice, or if there are none."""
+    names = list(strategies)
+    unknown = [n for n in names if n not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategies {unknown}; expected among {list(STRATEGIES)}")
+    if not names:
+        raise ValueError("need at least one strategy")
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate strategies {duplicates}")
+    return names
 
 
 def _score(instance: Instance, hyp: Hypothesis, score_kind: str) -> float:

@@ -401,17 +401,10 @@ def _int_list(text: str) -> list[int]:
 
 def _strategy_list(text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
-    unknown = [n for n in names if n not in decoders.STRATEGIES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown strategies {unknown}; expected among {list(decoders.STRATEGIES)}"
-        )
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one strategy")
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        raise argparse.ArgumentTypeError(f"duplicate strategies {duplicates}")
-    return names
+    try:
+        return analysis.check_strategies(names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 if __name__ == "__main__":

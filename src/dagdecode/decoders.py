@@ -55,7 +55,6 @@ class ViterbiTable:
 
     alpha: np.ndarray
     psi: np.ndarray
-    mode: TableMode
 
     @property
     def L(self) -> int:
@@ -92,19 +91,16 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     (smallest) position on ties.
     """
     L = instance.L
-    if mode is TableMode.JOINT:
-        best_emission = instance.log_emissions.max(axis=1)
-        weights = instance.log_transitions + best_emission[None, :]
-        start = float(best_emission[0])
-    else:
-        weights = instance.log_transitions
-        start = 0.0
-
     alpha = np.full((L, L), LOG_ZERO)
     psi = np.zeros((L, L), dtype=np.min_scalar_type(L))
-    alpha[0, 0] = start
-    # weights_t[t, t'] views the hop t' -> t so each pass reduces along axis 1.
-    weights_t = np.ascontiguousarray(weights.T)
+    alpha[0, 0] = 0.0
+    # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
+    # A copy, not a view: JOINT mode adds to it in place.
+    weights_t = instance.log_transitions.T.copy()
+    if mode is TableMode.JOINT:
+        best_emission = instance.log_emissions.max(axis=1)
+        weights_t += best_emission[:, None]
+        alpha[0, 0] = best_emission[0]
     for i in range(1, L):
         # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
         scores = weights_t[i:, i - 1 :] + alpha[i - 1, i - 1 :][None, :]
@@ -112,7 +108,7 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
         values = scores[np.arange(L - i), best]
         alpha[i, i:] = values
         psi[i, i:] = np.where(np.isfinite(values), best + i, 0)
-    return ViterbiTable(alpha=alpha, psi=psi, mode=mode)
+    return ViterbiTable(alpha=alpha, psi=psi)
 
 
 def select_length(table: ViterbiTable, beta: float) -> LengthSelection:
@@ -161,9 +157,12 @@ def backtrace(table: ViterbiTable, M: int) -> DecodingPath:
 
 def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
     """Emit the most probable token at each path position and score the result."""
+    # Scoring checks the path (PathShapeError), so it comes before any indexing.
+    path_lp = scoring.path_log_prob(instance, path)
     pos = np.asarray(tuple(path), dtype=np.intp) - 1
     tokens = tuple(int(y) for y in np.argmax(instance.log_emissions[pos], axis=1))
-    return _scored_hypothesis(instance, path, tokens)
+    emission_lp = scoring.translation_given_path_log_prob(instance, path, tokens)
+    return Hypothesis(path, tokens, path_lp, emission_lp)
 
 
 def greedy_decode(instance: Instance) -> Hypothesis:
@@ -238,9 +237,3 @@ def _walk(instance: Instance, bonus) -> Hypothesis:
         t = nxt + 1
         positions.append(t)
     return argmax_hypothesis(instance, DecodingPath(tuple(positions)))
-
-
-def _scored_hypothesis(instance: Instance, path, tokens) -> Hypothesis:
-    path_lp = scoring.path_log_prob(instance, path)
-    emission_lp = scoring.translation_given_path_log_prob(instance, path, tokens)
-    return Hypothesis.from_scores(path, tokens, path_lp, emission_lp)

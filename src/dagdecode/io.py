@@ -145,10 +145,6 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2)
 
 
-def load_instance(path, run_validation: bool = True) -> Instance:
-    return parse_instance(Path(path).read_text(), run_validation=run_validation)
-
-
 def save_instance(instance: Instance, path) -> None:
     Path(path).write_text(serialize_instance(instance) + "\n")
 
@@ -167,13 +163,19 @@ def _lists_to_table(rows, name: str) -> np.ndarray:
     if len(width) > 1:
         raise InstanceFormatError(f"{name} rows have inconsistent lengths {sorted(width)}")
     out = np.full((len(rows), width.pop() if width else 0), LOG_ZERO)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise InstanceFormatError(
-                    f"{name}[{i}][{j}] must be a finite number or null, got {v!r}"
-                )
-            out[i, j] = float(v)
+    try:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v is None:
+                    continue
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise InstanceFormatError(
+                        f"{name}[{i}][{j}] must be a finite number or null, got {v!r}"
+                    )
+                out[i, j] = float(v)
+    except OverflowError:
+        # math.isfinite raises it for an integer too large for a float.
+        raise InstanceFormatError(
+            f"{name}[{i}][{j}] must be a finite number or null, got an integer out of float range"
+        ) from None
     return out

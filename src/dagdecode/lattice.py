@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PathShapeError, ShapeError, VocabError
+from .errors import InstanceValidationError, PathShapeError, ShapeError, VocabError
 from .logmath import log_from_prob, logsumexp
 
 #: Tolerance on |logsumexp(row)| for a row to count as normalized.
@@ -51,10 +51,8 @@ class Instance:
     meta: Mapping | None = None
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.V < 1:
-            raise ValueError(f"V must be >= 1, got {self.V}")
+        if self.L < 1 or self.V < 1:
+            raise ShapeError(f"L and V must be >= 1, got L={self.L} V={self.V}")
         trans = np.array(self.log_transitions, dtype=np.float64)
         emis = np.array(self.log_emissions, dtype=np.float64)
         if trans.shape != (self.L, self.L):
@@ -89,8 +87,8 @@ class Instance:
         return cls(
             L=trans.shape[0],
             V=emis.shape[1],
-            log_transitions=log_from_prob(trans),
-            log_emissions=log_from_prob(emis),
+            log_transitions=_log_table(trans, "transitions"),
+            log_emissions=_log_table(emis, "emissions"),
             vocab=vocab,
             meta=meta,
         )
@@ -105,6 +103,13 @@ class Instance:
             and np.array_equal(self.log_emissions, other.log_emissions)
             and self.vocab == other.vocab
         )
+
+
+def _log_table(probs: np.ndarray, name: str) -> np.ndarray:
+    try:
+        return log_from_prob(probs)
+    except ValueError as exc:
+        raise InstanceValidationError([f"{name}: {exc}"]) from exc
 
 
 @dataclass(frozen=True)
@@ -154,36 +159,25 @@ def as_path(path) -> DecodingPath:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A decoded output: path, tokens, and the three log-scores.
-
-    ``joint_logprob`` must equal ``path_logprob + emission_logprob`` exactly;
-    use :meth:`from_scores` so the sum happens once.
-    """
+    """A decoded output: path, tokens, and their path and emission log-scores."""
 
     path: DecodingPath
     tokens: tuple[int, ...]
     path_logprob: float
     emission_logprob: float
-    joint_logprob: float
 
     def __post_init__(self):
+        object.__setattr__(self, "path", as_path(self.path))
         object.__setattr__(self, "tokens", tuple(int(y) for y in self.tokens))
         if len(self.tokens) != len(self.path):
             raise ShapeError(
                 f"{len(self.tokens)} tokens for a path of length {len(self.path)}"
             )
-        if self.joint_logprob != self.path_logprob + self.emission_logprob:
-            raise ValueError("joint_logprob must equal path_logprob + emission_logprob")
 
-    @classmethod
-    def from_scores(cls, path, tokens, path_logprob, emission_logprob) -> "Hypothesis":
-        return cls(
-            path=as_path(path),
-            tokens=tuple(tokens),
-            path_logprob=float(path_logprob),
-            emission_logprob=float(emission_logprob),
-            joint_logprob=float(path_logprob) + float(emission_logprob),
-        )
+    @property
+    def joint_logprob(self) -> float:
+        """``path_logprob + emission_logprob``, summed on each read."""
+        return self.path_logprob + self.emission_logprob
 
     @property
     def length(self) -> int:
@@ -192,10 +186,14 @@ class Hypothesis:
 
 def check_tokens(instance: Instance, tokens) -> np.ndarray:
     """Coerce a token sequence to an int array, rejecting out-of-vocab ids."""
-    toks = np.asarray([int(y) for y in tokens], dtype=np.intp)
-    if toks.size and (toks.min() < 0 or toks.max() >= instance.V):
-        bad = toks[(toks < 0) | (toks >= instance.V)][0]
-        raise VocabError(f"token id {int(bad)} outside vocabulary of size {instance.V}")
+    ids = [int(y) for y in tokens]
+    try:
+        toks = np.asarray(ids, dtype=np.intp)
+    except OverflowError:
+        toks = None
+    if toks is None or (toks.size and (toks.min() < 0 or toks.max() >= instance.V)):
+        bad = next(y for y in ids if not 0 <= y < instance.V)
+        raise VocabError(f"token id {bad} outside vocabulary of size {instance.V}")
     return toks
 
 

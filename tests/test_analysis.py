@@ -53,6 +53,21 @@ class TestCompareStrategies:
         with pytest.raises(ValueError):
             compare_strategies([], ["greedy"], "joint")
 
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            (["joint-viterbi", "joint-viterbi"], "duplicate strategies"),
+            (["greedy", "beam"], "unknown strategies"),
+            ([], "at least one strategy"),
+        ],
+    )
+    def test_bad_strategy_list_rejected(self, i2, table_builds, strategies, message):
+        with pytest.raises(ValueError, match=message):
+            compare_strategies([i2], strategies)
+        with pytest.raises(ValueError, match=message):
+            benchmark([i2], strategies, repetitions=3)
+        assert table_builds == []
+
     def test_unknown_score_kind_rejected(self, i2):
         with pytest.raises(ValueError):
             compare_strategies([i2], ["greedy"], "likelihood")

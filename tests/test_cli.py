@@ -145,6 +145,16 @@ class TestDecode:
         digest = hashlib.sha256(i4_file.read_bytes()).hexdigest()
         assert json.loads(out)["input"]["sha256"] == digest
 
+    def test_integer_beyond_float_range_is_data_error(self, capsys, tmp_path, i2):
+        doc = json.loads(dagdecode.serialize_instance(i2))
+        doc["log_emissions"][1][0] = 10**400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["decode", "--strategy", "greedy", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: log_emissions[1][0] must be")
+
     def test_unknown_strategy_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(capsys, ["decode", "--strategy", "beam", "--input", str(i4_file)])
         assert code == 1
@@ -231,6 +241,15 @@ class TestScore:
         )
         assert code == 1
 
+    def test_token_beyond_integer_range_is_data_error(self, capsys, i4_file):
+        big = str(10**30)
+        code, out, err = run(
+            capsys, ["score", "--input", str(i4_file), "--path", "1,2,4", "--tokens", f"0,1,{big}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: token id {big} outside")
+
     @pytest.mark.parametrize("path", ["1,,4", "1,4,", ",1,4"])
     def test_empty_list_item_is_usage_error(self, capsys, i4_file, path):
         code, _, err = run(
@@ -257,6 +276,16 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["marginal_probability"] == pytest.approx(0.05616, rel=1e-12)
+
+    def test_marginal_token_beyond_integer_range_is_data_error(self, capsys, i4_file):
+        big = str(10**30)
+        code, out, err = run(
+            capsys,
+            ["oracle", "--input", str(i4_file), "--mode", "marginal", "--tokens", f"0,{big}"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: token id {big} outside")
 
     def test_marginal_requires_tokens(self, capsys, i4_file):
         code, _, _ = run(capsys, ["oracle", "--input", str(i4_file), "--mode", "marginal"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dagdecode import (
     DeadEndError,
     InfeasibleLengthError,
     Instance,
+    PathShapeError,
     TableMode,
     UnreachableTerminalError,
     ViterbiTable,
@@ -94,7 +96,7 @@ def _table_from_terminal_scores(scores: dict[int, float], L: int) -> ViterbiTabl
     psi = np.zeros((L, L), dtype=np.int64)
     for length, value in scores.items():
         alpha[length - 1, L - 1] = value
-    return ViterbiTable(alpha=alpha, psi=psi, mode=TableMode.PATH)
+    return ViterbiTable(alpha=alpha, psi=psi)
 
 
 class TestViterbiTable:
@@ -150,6 +152,20 @@ class TestViterbiTable:
             for length in table.feasible_lengths():
                 paths.update(repr(backtrace(table, length).positions).encode())
         assert paths.hexdigest() == digest
+
+    def test_joint_build_peaks_no_higher_than_path_build(self):
+        # Folding the emissions into the one transposed weights array keeps
+        # the JOINT build's temporaries to the PATH build's.
+        inst = random_instance(5, L=256, V=8)
+        peaks = {}
+        for mode in (TableMode.PATH, TableMode.JOINT):
+            tracemalloc.start()
+            try:
+                build_viterbi_table(inst, mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[TableMode.JOINT] <= 1.02 * peaks[TableMode.PATH]
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
     def test_invariants_on_random_instances(self, mode):
@@ -241,6 +257,19 @@ class TestBacktrace:
             backtrace(table, 1)
         with pytest.raises(InfeasibleLengthError):
             backtrace(table, 5)
+
+
+class TestArgmaxHypothesis:
+    @pytest.mark.parametrize("path", [(1, 99), (1, 10**30), (1, 3, 2, 4), (1, 2)])
+    def test_bad_path_rejected_before_indexing(self, i4, path):
+        with pytest.raises(PathShapeError):
+            argmax_hypothesis(i4, path)
+
+    def test_joint_is_path_plus_emission(self, i4):
+        hyp = argmax_hypothesis(i4, [1, 2, 4])
+        assert hyp.path.positions == (1, 2, 4)
+        assert hyp.joint_logprob == hyp.path_logprob + hyp.emission_logprob
+        assert hyp.joint_logprob == joint_log_prob(i4, (1, 2, 4), hyp.tokens)
 
 
 class TestViterbiDecode:

@@ -12,7 +12,6 @@ from dagdecode import (
     ShapeError,
     entropy_stats,
     generate_instance,
-    load_instance,
     parse_instance,
     save_instance,
     serialize_instance,
@@ -47,13 +46,13 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path, i4):
         target = tmp_path / "inst.json"
         save_instance(i4, target)
-        assert load_instance(target) == i4
+        assert parse_instance(target.read_text()) == i4
 
     def test_generator_output_round_trips(self, tmp_path):
         inst = random_instance(123, L=9, V=4, sparsity=0.5)
         target = tmp_path / "inst.json"
         save_instance(inst, target)
-        assert load_instance(target) == inst
+        assert parse_instance(target.read_text()) == inst
 
 
 class TestParseErrors:
@@ -80,6 +79,17 @@ class TestParseErrors:
         doc["log_emissions"] = [[0.0, None], [0.0]]
         with pytest.raises(InstanceFormatError):
             instance_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "table, where", [("log_transitions", (0, 1)), ("log_emissions", (1, 0))]
+    )
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_beyond_float_range_named(self, i2, table, where, big):
+        doc = instance_to_dict(i2)
+        doc[table][where[0]][where[1]] = big
+        i, j = where
+        with pytest.raises(InstanceFormatError, match=rf"{table}\[{i}\]\[{j}\] must be"):
+            parse_instance(json.dumps(doc))
 
     def test_non_numeric_entry(self, i2):
         doc = instance_to_dict(i2)

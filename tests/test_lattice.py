@@ -9,6 +9,7 @@ from dagdecode import (
     DecodingPath,
     Hypothesis,
     Instance,
+    InstanceValidationError,
     PathShapeError,
     ShapeError,
     VocabError,
@@ -103,6 +104,18 @@ class TestInstance:
         with pytest.raises(ShapeError):
             Instance(L=2, V=3, log_transitions=np.zeros((2, 2)), log_emissions=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("L, V", [(0, 2), (2, 0)])
+    def test_empty_size_is_shape_error(self, L, V):
+        with pytest.raises(ShapeError, match=f"got L={L} V={V}"):
+            Instance(L=L, V=V, log_transitions=np.zeros((L, L)), log_emissions=np.zeros((L, V)))
+
+    @pytest.mark.parametrize("table", ["transitions", "emissions"])
+    def test_negative_probability_names_table(self, table):
+        tables = {"transitions": np.array(I2_TRANSITIONS), "emissions": np.array(I2_EMISSIONS)}
+        tables[table][0, 1] = -0.5
+        with pytest.raises(InstanceValidationError, match=f"{table}: probabilities"):
+            Instance.from_probs(**tables)
+
     def test_vocab_length_checked(self):
         with pytest.raises(ShapeError):
             Instance.from_probs(I2_TRANSITIONS, I2_EMISSIONS, vocab=["a"])
@@ -148,25 +161,22 @@ class TestTokens:
         with pytest.raises(VocabError):
             check_tokens(i2, [-1])
 
+    @pytest.mark.parametrize("big", [10**30, -(10**30)], ids=["plus", "minus"])
+    def test_huge_id_rejected(self, i2, big):
+        with pytest.raises(VocabError, match=f"token id {big} outside"):
+            check_tokens(i2, [0, big])
+
     def test_valid_pass_through(self, i2):
         assert list(check_tokens(i2, [1, 0])) == [1, 0]
 
 
 class TestHypothesis:
-    def test_from_scores_sums_once(self):
-        hyp = Hypothesis.from_scores((1, 2), [0, 1], -1.0, -2.0)
+    def test_joint_logprob_is_the_sum(self):
+        hyp = Hypothesis((1, 2), [0, 1], -1.0, -2.0)
+        assert hyp.path == DecodingPath((1, 2))
+        assert hyp.tokens == (0, 1)
         assert hyp.joint_logprob == -3.0
-
-    def test_inconsistent_joint_rejected(self):
-        with pytest.raises(ValueError):
-            Hypothesis(
-                path=DecodingPath((1, 2)),
-                tokens=(0, 1),
-                path_logprob=-1.0,
-                emission_logprob=-2.0,
-                joint_logprob=-2.5,
-            )
 
     def test_token_length_must_match_path(self):
         with pytest.raises(ShapeError):
-            Hypothesis.from_scores((1, 2), [0], -1.0, -2.0)
+            Hypothesis((1, 2), [0], -1.0, -2.0)
