@@ -1,0 +1,215 @@
+"""Before/after timing of ``decode`` at beta 0 and 1 on L=256, V=32 lattices.
+
+Run from the root of a checkout:
+
+    python3 scripts/bench_fastpath.py --parent REV --out BENCH_fastpath.json
+
+``REV``'s ``src/`` is exported with ``git archive`` into a temporary
+directory. Each round runs the parent and this checkout's ``src/`` in fresh
+interpreters, one after the other, alternating which goes first. Each run
+reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
+0-7, every 4th at sparsity 0.3):
+
+- per-call ``decode`` time, median and p90, per strategy and beta;
+- longest-path passes and table builds per call, counted in a separate
+  untimed sweep by wrapping ``decoders._longest_path`` (absent at a parent
+  without it: reported as null) and ``decoders.build_viterbi_table``;
+- acceptance criterion 7's ratio, measured as that test measures it.
+
+Runs are sequential and single-threaded; every input is generated in the
+child from its seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STRATEGIES = ("viterbi", "joint-viterbi")
+BETAS = (0.0, 1.0)
+
+
+def measure(src: str, reps: int) -> dict:
+    """One side's numbers, measured in this (fresh) interpreter."""
+    sys.path.insert(0, src)
+    import dagdecode
+    from dagdecode import GeneratorConfig, decoders, generate_instance
+
+    instances = [
+        generate_instance(
+            GeneratorConfig(L=256, V=32, seed=k, sparsity=0.3 if k % 4 == 0 else 0.0)
+        )
+        for k in range(8)
+    ]
+    for strategy in STRATEGIES:  # warm-up: imports, first calls
+        decoders.decode(instances[0], strategy, 1.0)
+
+    times = {}
+    for beta in BETAS:
+        for strategy in STRATEGIES:
+            samples = []
+            for _ in range(reps):
+                for inst in instances:
+                    start = time.perf_counter()
+                    decoders.decode(inst, strategy, beta)
+                    samples.append(time.perf_counter() - start)
+            samples.sort()
+            times[f"{strategy} beta={beta:g}"] = {
+                "median_ms": statistics.median(samples) * 1e3,
+                "p90_ms": samples[int(0.9 * (len(samples) - 1))] * 1e3,
+                "calls": len(samples),
+            }
+
+    counts = {"passes": 0, "builds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    has_passes = hasattr(decoders, "_longest_path")
+    if has_passes:
+        decoders._longest_path = counted("passes", decoders._longest_path)
+    decoders.build_viterbi_table = counted("builds", decoders.build_viterbi_table)
+    work = {}
+    for beta in BETAS:
+        for strategy in STRATEGIES:
+            counts.update(passes=0, builds=0)
+            for inst in instances:
+                decoders.decode(inst, strategy, beta)
+            work[f"{strategy} beta={beta:g}"] = {
+                "passes_per_call": counts["passes"] / len(instances) if has_passes else None,
+                "table_builds_per_call": counts["builds"] / len(instances),
+            }
+
+    criterion7 = [
+        generate_instance(GeneratorConfig(L=256, V=32, seed=99000 + k)) for k in range(3)
+    ]
+    timings = dagdecode.benchmark(criterion7, ["greedy", "joint-viterbi"], repetitions=3, beta=1.0)
+    return {
+        "decode": times,
+        "work": work,
+        "criterion7_ratio": timings["joint-viterbi"].ratio_vs_baseline,
+        "criterion7_greedy_us": timings["greedy"].mean_seconds * 1e6,
+        "criterion7_joint_viterbi_ms": timings["joint-viterbi"].mean_seconds * 1e3,
+    }
+
+
+def run_side(src: Path, reps: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--measure", str(src), "--reps", str(reps)],
+        check=True, capture_output=True, text=True, cwd=ROOT,
+    )
+    return json.loads(out.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Medians over rounds of each per-run number; the work counts repeat exactly."""
+
+    def med(values):
+        return round(statistics.median(values), 4)
+
+    keys = runs[0]["decode"]
+    return {
+        "decode_ms": {
+            k: {
+                "median": med([r["decode"][k]["median_ms"] for r in runs]),
+                "p90": med([r["decode"][k]["p90_ms"] for r in runs]),
+            }
+            for k in keys
+        },
+        "work_per_call": runs[0]["work"],
+        "fallbacks_per_call": {
+            k: w["table_builds_per_call"] if w["passes_per_call"] is not None else None
+            for k, w in runs[0]["work"].items()
+        },
+        "criterion7_ratio": {
+            "median": med([r["criterion7_ratio"] for r in runs]),
+            "per_round": [round(r["criterion7_ratio"], 2) for r in runs],
+        },
+        "criterion7_greedy_us": med([r["criterion7_greedy_us"] for r in runs]),
+        "criterion7_joint_viterbi_ms": med([r["criterion7_joint_viterbi_ms"] for r in runs]),
+    }
+
+
+def machine() -> dict:
+    import numpy
+
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        lines = cpuinfo.read_text().splitlines()
+        models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+        if models:
+            cpu = models[0]
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="git revision to compare against")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--reps", type=int, default=5, help="sweeps over the 8 instances per run")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--measure", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure, args.reps)))
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+    rev = subprocess.run(
+        ["git", "rev-parse", "--short", args.parent],
+        check=True, capture_output=True, text=True, cwd=ROOT,
+    ).stdout.strip()
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "archive", rev, "src"], check=True, capture_output=True, cwd=ROOT
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_side(sides[side], args.reps))
+    command = ["python3", "scripts/bench_fastpath.py", "--parent", args.parent,
+               "--rounds", str(args.rounds), "--reps", str(args.reps)]
+    if args.out:
+        command += ["--out", str(args.out)]
+    doc = {
+        "command": " ".join(command),
+        "parent": rev,
+        "machine": machine(),
+        "workload": "decode(inst, strategy, beta) on 8 generated L=256 V=32 instances "
+        "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1",
+        "rounds": args.rounds,
+        "before": summarize(runs["parent"]),
+        "after": summarize(runs["change"]),
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

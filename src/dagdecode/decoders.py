@@ -6,6 +6,16 @@ transition table alone (PATH mode) or over transitions with each target
 position's best emission folded in (JOINT mode). Length selection divides
 each length's log-score by ``length ** beta`` before taking the argmax.
 
+Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
+``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
+with O(L^2) longest-path passes over the DAG (one pass at 0; Dinkelbach's
+parametric method for the per-token mean at 1) and no table. The answer is
+certified on the last pass; on a near-tie, or on input the passes do not
+model, they build the table instead, so results, tie rules and errors are
+the table's. Any other ``beta``, and every caller that reads every length
+(``table_decode``, ``decode_all_lengths``, the CLI ``decode``, analysis'
+optimum column), builds the O(L^3) table.
+
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection
 prefers the larger length, and token argmaxes prefer the smallest id.
@@ -108,6 +118,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
         values = scores[np.arange(L - i), best]
         alpha[i, i:] = values
         psi[i, i:] = np.where(np.isfinite(values), best + i, 0)
+        # Drop this pass's scores before the next pass allocates its own, so
+        # that only one (L-i)x(L-i+1) temporary is alive at a time.
+        del scores
     return ViterbiTable(alpha=alpha, psi=psi)
 
 
@@ -167,7 +180,7 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
 
 def greedy_decode(instance: Instance) -> Hypothesis:
     """Follow the most probable transition from each position until L."""
-    return _walk(instance, 0.0)
+    return argmax_hypothesis(instance, _walk(instance, 0.0))
 
 
 def lookahead_decode(instance: Instance) -> Hypothesis:
@@ -177,7 +190,7 @@ def lookahead_decode(instance: Instance) -> Hypothesis:
     is fixed, so there is no transition to weigh it against). Ties prefer
     the earlier position, then the smaller token id.
     """
-    return _walk(instance, instance.log_emissions.max(axis=1))
+    return argmax_hypothesis(instance, _walk(instance, instance.log_emissions.max(axis=1)))
 
 
 def table_decode(
@@ -191,18 +204,18 @@ def table_decode(
 
 
 def viterbi_decode(instance: Instance, beta: float = DEFAULT_BETA) -> Hypothesis:
-    """Best path by table, then argmax tokens along it."""
-    return table_decode(instance, TableMode.PATH, beta)[0]
+    """Best path, then argmax tokens along it: ``table_decode``'s hypothesis."""
+    return _exact_decode(instance, TableMode.PATH, beta)
 
 
 def joint_viterbi_decode(instance: Instance, beta: float = DEFAULT_BETA) -> Hypothesis:
-    """Best (path, tokens) pair by table over emission-augmented transitions.
+    """Best (path, tokens) pair over emission-augmented transitions: ``table_decode``'s hypothesis.
 
     With ``beta = 0`` the result attains the exact joint optimum over all
     lengths; its joint log-probability equals the table score at the chosen
     length.
     """
-    return table_decode(instance, TableMode.JOINT, beta)[0]
+    return _exact_decode(instance, TableMode.JOINT, beta)
 
 
 def decode_all_lengths(instance: Instance, table: ViterbiTable) -> list[Hypothesis]:
@@ -216,7 +229,7 @@ def decode_all_lengths(instance: Instance, table: ViterbiTable) -> list[Hypothes
 def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hypothesis:
     """Dispatch to one of the named strategies."""
     if strategy in TABLE_MODES:
-        return table_decode(instance, TABLE_MODES[strategy], beta)[0]
+        return _exact_decode(instance, TABLE_MODES[strategy], beta)
     if strategy == "greedy":
         return greedy_decode(instance)
     if strategy == "lookahead":
@@ -224,7 +237,7 @@ def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hyp
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _walk(instance: Instance, bonus) -> Hypothesis:
+def _walk(instance: Instance, bonus) -> tuple[int, ...]:
     """From position 1, step to the successor maximizing transition + ``bonus`` until L."""
     L = instance.L
     t = 1
@@ -236,4 +249,103 @@ def _walk(instance: Instance, bonus) -> Hypothesis:
             raise DeadEndError(f"no outgoing transition from position {t}")
         t = nxt + 1
         positions.append(t)
-    return argmax_hypothesis(instance, DecodingPath(tuple(positions)))
+    return tuple(positions)
+
+
+def _exact_decode(instance: Instance, mode: TableMode, beta) -> Hypothesis:
+    """``table_decode(instance, mode, beta)[0]``, by longest-path passes where they certify it."""
+    if beta == 0 or beta == 1:
+        hyp = _longest_path_decode(instance, mode, beta)
+        if hyp is not None:
+            return hyp
+    return table_decode(instance, mode, beta)[0]
+
+
+def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesis | None:
+    """The table's hypothesis at ``beta`` 0 or 1 without the table, or None.
+
+    A path's score is the table's: the start cell plus one ``mode`` weight per
+    hop. At ``beta = 0`` one longest-path pass finds the best path. At
+    ``beta = 1`` the best per-token mean is found by Dinkelbach's method: each
+    pass charges every hop ``lam``, ``lam`` starts at the mean of the path
+    the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
+    mean of each pass's path until the path repeats. None (build the table)
+    when the answer cannot be certified: a NaN or ``+inf`` weight, a finite
+    weight on or below the diagonal (the table reads those, the passes do
+    not), an unreachable terminal, a walk that dead-ends, a mean that stops
+    rising, or a near-tie on the last pass.
+    """
+    weights, start, bonus = instance.log_transitions, 0.0, 0.0
+    if mode is TableMode.JOINT:
+        bonus = instance.log_emissions.max(axis=1)
+        weights = weights + bonus
+        start = bonus[0]
+    # max() is NaN if any entry is; np.tri marks the diagonal and below.
+    if not (start < np.inf and weights.max() < np.inf):
+        return None
+    if (np.isfinite(weights) & np.tri(instance.L, dtype=bool)).any():
+        return None
+    if beta == 0:
+        path, certified = _longest_path(weights, start, 0.0)
+    else:
+        try:
+            path = _walk(instance, bonus)
+        except DeadEndError:
+            return None
+        lam = _mean_score(weights, start, path)
+        while True:
+            previous = path
+            path, certified = _longest_path(weights, start, lam)
+            if path is None or path == previous:
+                break
+            mean = _mean_score(weights, start, path)
+            if not mean > lam:
+                return None
+            lam = mean
+    if path is None or not certified:
+        return None
+    return argmax_hypothesis(instance, DecodingPath(path))
+
+
+def _mean_score(weights: np.ndarray, start: float, path: tuple[int, ...]) -> float:
+    """A path's score (start plus hop weights) per position."""
+    pos = np.asarray(path, dtype=np.intp) - 1
+    return float(start + weights[pos[:-1], pos[1:]].sum()) / len(path)
+
+
+def _longest_path(weights: np.ndarray, start: float, lam: float):
+    """Best path from position 1 to L when every hop costs ``lam``, and its certificate.
+
+    Returns ``(path, certified)``, or ``(None, False)`` if L is unreachable or
+    a value overflows. Values come first, in one forward pass; the backtrace
+    then recomputes each path position's candidates with the same arithmetic
+    and takes the smallest predecessor that attains the value exactly, as the
+    table's backpointers do. ``certified`` holds when at every path position
+    exactly one candidate lies within a rounding margin of the best: then no
+    other path of any length comes within rounding of this one, so the
+    table, whatever its summation order, ranks the same path first.
+    """
+    L = len(weights)
+    f = np.full(L, LOG_ZERO)
+    f[0] = start
+    for t in range(L - 1):
+        ft = f.item(t)
+        if ft > LOG_ZERO:
+            tail = f[t + 1 :]
+            np.maximum(tail, weights[t, t + 1 :] + (ft - lam), out=tail)
+    if not (f[-1] > LOG_ZERO and (f < np.inf).all()):
+        return None, False
+    # Worst-case rounding of an L-hop sum, widened by up to L/len for a mean.
+    scale = 1.0 + np.abs(f[f > LOG_ZERO]).max() + abs(lam) * L
+    margin = 32 * np.finfo(np.float64).eps * (L + 1) ** 2 * scale
+    certified = bool(np.isfinite(margin))
+    u = L - 1
+    path = [L]
+    while u > 0:
+        candidates = weights[:u, u] + (f[:u] - lam)
+        best = int(np.argmax(candidates))
+        certified = certified and np.count_nonzero(candidates >= f[u] - margin) == 1
+        u = best
+        path.append(u + 1)
+    path.reverse()
+    return tuple(path), certified

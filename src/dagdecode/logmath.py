@@ -38,11 +38,14 @@ def logsumexp(values, axis=None):
 def log_from_prob(probs):
     """Elementwise natural log mapping exact zeros to ``-inf`` silently.
 
-    Raises ValueError on negative input: these tables are probabilities.
+    Raises ValueError on negative or NaN input: these tables are
+    probabilities, and a NaN is not an impossible event.
     """
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0):
         raise ValueError("probabilities must be non-negative")
+    if np.any(np.isnan(p)):
+        raise ValueError("probabilities must not be NaN")
     out = np.full(p.shape, LOG_ZERO)
     np.log(p, out=out, where=p > 0)
     return out

@@ -66,3 +66,59 @@ def random_instance(seed: int, L: int = 6, V: int = 3, sparsity: float = 0.0,
 
 def random_batch(n: int, seed0: int = 0, **kwargs) -> list[Instance]:
     return [random_instance(seed0 + k, **kwargs) for k in range(n)]
+
+
+def make_suite(count: int, seed0: int, lengths=(4, 6, 8), vocabs=(2, 5)) -> list[Instance]:
+    """Generated instances cycling through ``lengths`` and ``vocabs``; every 4th is sparse."""
+    return [
+        generate_instance(
+            GeneratorConfig(
+                L=lengths[k % len(lengths)],
+                V=vocabs[k % len(vocabs)],
+                seed=seed0 + k,
+                sparsity=0.35 if k % 4 == 0 else 0.0,
+            )
+        )
+        for k in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def suite_500() -> list[Instance]:
+    return make_suite(500, seed0=31000)
+
+
+def funnel(inst: Instance, a: int, twin_rows: bool) -> Instance:
+    """Reshape ``inst`` so that every path visits 0-based position a or b = a + 1.
+
+    Rows before a reach nothing beyond b, and column b copies column a. With
+    ``twin_rows`` row a copies row b, so a and b are interchangeable and
+    every best path has an equal-scoring twin of the same length. Without
+    it a moves to b with probability 1 and both emit token 0 with
+    probability 1, so every path through b alone has an equal-scoring twin
+    one position longer. Needs 1 <= a <= L - 3.
+    """
+    b = a + 1
+    trans = np.exp(inst.log_transitions)
+    emis = np.exp(inst.log_emissions)
+    trans[:a, b + 1 :] = 0.0
+    trans[:a, b] = trans[:a, a]
+    for t in range(a):
+        if not trans[t, t + 1 :].any():
+            trans[t, [a, b]] = 1.0
+    if twin_rows:
+        trans[a] = trans[b]
+        emis[b] = emis[a]
+    else:
+        trans[a] = 0.0
+        trans[a, b] = 1.0
+        emis[[a, b]] = 0.0
+        emis[[a, b], 0] = 1.0
+    sums = trans.sum(axis=1, keepdims=True)
+    trans /= np.where(sums > 0, sums, 1.0)
+    return Instance.from_probs(trans, emis)
+
+
+def hypothesis_fields(hyp) -> tuple:
+    """Everything a hypothesis holds, log-probabilities as their exact ``repr``."""
+    return hyp.path.positions, hyp.tokens, repr(hyp.path_logprob), repr(hyp.emission_logprob)

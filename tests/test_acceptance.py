@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from dagdecode import (
     GeneratorConfig,
@@ -35,7 +34,7 @@ from dagdecode import (
 )
 from dagdecode.cli import run_cli
 
-from conftest import I4_EMISSIONS, I4_TRANSITIONS
+from conftest import I4_EMISSIONS, I4_TRANSITIONS, make_suite
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -44,27 +43,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _make_suite(count: int, seed0: int, lengths=(4, 6, 8), vocabs=(2, 5)):
-    out = []
-    for k in range(count):
-        out.append(
-            generate_instance(
-                GeneratorConfig(
-                    L=lengths[k % len(lengths)],
-                    V=vocabs[k % len(vocabs)],
-                    seed=seed0 + k,
-                    sparsity=0.35 if k % 4 == 0 else 0.0,
-                )
-            )
-        )
-    return out
-
-
-@pytest.fixture(scope="module")
-def suite_500():
-    return _make_suite(500, seed0=31000)
 
 
 def test_criterion_1_path_optimality(suite_500):
@@ -114,7 +92,7 @@ def test_criterion_2_joint_optimality(suite_500):
 
 
 def test_criterion_3_marginal_correctness():
-    instances = _make_suite(200, seed0=47000)
+    instances = make_suite(200, seed0=47000)
     worst = 0.0
     checked = 0
     for k, inst in enumerate(instances):

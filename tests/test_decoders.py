@@ -26,11 +26,20 @@ from dagdecode import (
     lookahead_decode,
     path_log_prob,
     select_length,
+    table_decode,
     viterbi_decode,
 )
+from dagdecode.decoders import TABLE_MODES
 from dagdecode.logmath import LOG_ZERO
 
-from conftest import random_batch, random_instance
+from conftest import (
+    I4_EMISSIONS,
+    I4_TRANSITIONS,
+    funnel,
+    hypothesis_fields,
+    random_batch,
+    random_instance,
+)
 
 
 class TestGreedy:
@@ -152,6 +161,20 @@ class TestViterbiTable:
             for length in table.feasible_lengths():
                 paths.update(repr(backtrace(table, length).positions).encode())
         assert paths.hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_build_peak_within_29_bytes_per_cell(self, mode):
+        # alpha, psi and the weights are 18 bytes per cell; one pass's scores
+        # may be alive at a time, not two.
+        L = 256
+        inst = random_instance(5, L=L, V=8)
+        tracemalloc.start()
+        try:
+            build_viterbi_table(inst, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29 * L * L
 
     def test_joint_build_peaks_no_higher_than_path_build(self):
         # Folding the emissions into the one transposed weights array keeps
@@ -390,3 +413,93 @@ class TestDeterminismAndDispatch:
                 assert joint_log_prob(inst, path, hyp.tokens) == pytest.approx(
                     jtable.score(length, inst.L), abs=1e-9
                 )
+
+
+def _outcome(call):
+    """The hypothesis' fields, or the type and message of what the call raised."""
+    try:
+        return hypothesis_fields(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _unvalidated_i4(case: str) -> Instance:
+    i4 = Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS)
+    trans, emis = i4.log_transitions.copy(), i4.log_emissions.copy()
+    if case == "nan":
+        trans[0, 1] = math.nan
+    elif case == "nan-emission":
+        emis[2, 0] = math.nan
+    elif case == "posinf":
+        trans[1, 3] = math.inf
+    elif case == "diagonal":
+        trans[2, 2] = 1.0  # the table reads it: its best path revisits position 3
+    elif case == "below-diagonal":
+        trans[3, 2] = 5.0  # the table's best path goes from 4 back to 3
+    elif case == "unreachable":
+        trans[:, 3] = LOG_ZERO
+    return Instance(L=4, V=2, log_transitions=trans, log_emissions=emis)
+
+
+STRATEGY_MODES = sorted(TABLE_MODES.items())
+
+
+class TestLongestPathRoute:
+    """At beta 0 and 1, decode finds the table's hypothesis without building the table."""
+
+    @staticmethod
+    def assert_agrees_with_table(inst):
+        for strategy, mode in STRATEGY_MODES:
+            for beta in (0.0, 1.0):
+                expected = hypothesis_fields(table_decode(inst, mode, beta)[0])
+                assert hypothesis_fields(decode(inst, strategy, beta)) == expected
+
+    @pytest.mark.parametrize("L", [256, 512])
+    def test_agrees_with_table_on_large_lattices(self, L):
+        self.assert_agrees_with_table(random_instance(L, L=L, V=8))
+        self.assert_agrees_with_table(random_instance(L + 1, L=L, V=8, sparsity=0.3))
+
+    def test_agrees_with_table_on_suite(self, suite_500):
+        for inst in suite_500:
+            self.assert_agrees_with_table(inst)
+
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_builds_no_table(self, table_builds, strategy, beta):
+        decode(random_instance(64, L=64, V=8), strategy, beta)
+        assert table_builds == []
+
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    def test_other_beta_builds_the_table(self, table_builds, strategy):
+        decode(random_instance(64, L=64, V=8), strategy, 0.5)
+        assert table_builds == [TABLE_MODES[strategy]]
+
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_exact_tie_builds_the_table(self, table_builds, strategy, beta):
+        # Every best path has an equal-scoring twin, so no pass can certify it.
+        inst = funnel(random_instance(11, L=8, V=3), 3, twin_rows=True)
+        hyp = decode(inst, strategy, beta)
+        assert table_builds == [TABLE_MODES[strategy]]
+        expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
+        assert hypothesis_fields(hyp) == hypothesis_fields(expected)
+
+    @pytest.mark.parametrize(
+        "case", ["nan", "nan-emission", "posinf", "diagonal", "below-diagonal", "unreachable"]
+    )
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_unvalidated_input_decodes_as_table(self, case, strategy, beta):
+        inst = _unvalidated_i4(case)
+        mode = TABLE_MODES[strategy]
+        assert _outcome(lambda: decode(inst, strategy, beta)) == _outcome(
+            lambda: table_decode(inst, mode, beta)[0]
+        )
+
+    @pytest.mark.parametrize("beta", [math.nan, -1.0])
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    def test_bad_beta_fails_as_table(self, i4, strategy, beta):
+        mode = TABLE_MODES[strategy]
+        expected = _outcome(lambda: table_decode(i4, mode, beta)[0])
+        assert expected[0] is ValueError
+        assert _outcome(lambda: decode(i4, strategy, beta)) == expected

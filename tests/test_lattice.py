@@ -116,6 +116,15 @@ class TestInstance:
         with pytest.raises(InstanceValidationError, match=f"{table}: probabilities"):
             Instance.from_probs(**tables)
 
+    @pytest.mark.parametrize("table", ["transitions", "emissions"])
+    def test_nan_probability_names_table(self, table):
+        # A NaN is reported as such, not read as an impossible (-inf) event.
+        tables = {"transitions": np.array(I2_TRANSITIONS), "emissions": np.array(I2_EMISSIONS)}
+        tables[table][0, 1] = math.nan
+        message = f"{table}: probabilities must not be NaN"
+        with pytest.raises(InstanceValidationError, match=message):
+            Instance.from_probs(**tables)
+
     def test_vocab_length_checked(self):
         with pytest.raises(ShapeError):
             Instance.from_probs(I2_TRANSITIONS, I2_EMISSIONS, vocab=["a"])

@@ -53,6 +53,10 @@ class TestLogFromProb:
         with pytest.raises(ValueError):
             log_from_prob([-0.1])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            log_from_prob([0.5, math.nan])
+
 
 class TestEntropy:
     def test_uniform(self):

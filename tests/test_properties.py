@@ -1,6 +1,8 @@
 """Property tests: the decoders against the exhaustive oracle on random small lattices.
 
 Lattices come from the seeded generator (L <= 9, V <= 4, sparsity 0-0.5).
+At beta 0 and 1 ``decode`` finds the table's answer without the table; it
+is checked field by field against ``table_decode``, ties included.
 The tie tests reshape a generated lattice so that two neighbouring
 positions ``a`` and ``b = a + 1`` share their incoming transition column
 and every path passes through one of them, which makes exact ties certain
@@ -9,26 +11,29 @@ rather than rare.
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagdecode import (
-    Instance,
     TableMode,
     backtrace,
     brute_force_best_joint,
     brute_force_best_path,
     build_viterbi_table,
+    decode,
     greedy_decode,
     joint_viterbi_decode,
     lookahead_decode,
     table_decode,
 )
+from dagdecode.decoders import TABLE_MODES
 
-from conftest import random_instance
+from conftest import funnel, hypothesis_fields, random_instance
 
 MODES = st.sampled_from([TableMode.PATH, TableMode.JOINT])
+TABLE_STRATEGIES = st.sampled_from(sorted(TABLE_MODES))
+#: The length penalties at which decode takes longest-path passes instead of the table.
+PASS_BETAS = st.sampled_from([0.0, 1.0])
 
 #: Fixed examples (no example database), so every run checks the same lattices.
 examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -46,36 +51,10 @@ def lattices(draw, min_L=1):
 
 @st.composite
 def funnels(draw, twin_rows: bool):
-    """A generated lattice in which every path visits position a or b = a + 1.
-
-    Rows before a reach nothing beyond b, and column b copies column a. With
-    ``twin_rows`` row a copies row b, so a and b are interchangeable and
-    every best path has an equal-scoring twin of the same length. Without
-    it a moves to b with probability 1 and both emit token 0 with
-    probability 1, so every path through b alone has an equal-scoring twin
-    one position longer.
-    """
+    """A generated lattice in which every path visits position a or b = a + 1 (see ``funnel``)."""
     inst = draw(lattices(min_L=4))
     a = draw(st.integers(1, inst.L - 3))  # 0-based; b = a + 1 is interior
-    b = a + 1
-    trans = np.exp(inst.log_transitions)
-    emis = np.exp(inst.log_emissions)
-    trans[:a, b + 1 :] = 0.0
-    trans[:a, b] = trans[:a, a]
-    for t in range(a):
-        if not trans[t, t + 1 :].any():
-            trans[t, [a, b]] = 1.0
-    if twin_rows:
-        trans[a] = trans[b]
-        emis[b] = emis[a]
-    else:
-        trans[a] = 0.0
-        trans[a, b] = 1.0
-        emis[[a, b]] = 0.0
-        emis[[a, b], 0] = 1.0
-    sums = trans.sum(axis=1, keepdims=True)
-    trans /= np.where(sums > 0, sums, 1.0)
-    return Instance.from_probs(trans, emis), a + 1, b + 1
+    return funnel(inst, a, twin_rows), a + 1, a + 2
 
 
 @examples
@@ -125,3 +104,27 @@ def test_equal_lengths_resolve_to_the_larger(funnel, mode):
     assert selection.chosen_M == max(length for length, score in raw.items() if score == top)
     assert sum(score == top for score in raw.values()) >= 2
     assert a in hyp.path.positions and b in hyp.path.positions
+
+
+@examples
+@given(lattices(), TABLE_STRATEGIES, PASS_BETAS)
+def test_decode_matches_table(inst, strategy, beta):
+    expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
+    assert hypothesis_fields(decode(inst, strategy, beta)) == hypothesis_fields(expected)
+
+
+@examples
+@given(st.booleans().flatmap(funnels), TABLE_STRATEGIES, PASS_BETAS)
+def test_decode_matches_table_on_ties(funnel, strategy, beta):
+    inst = funnel[0]
+    expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
+    assert hypothesis_fields(decode(inst, strategy, beta)) == hypothesis_fields(expected)
+
+
+@examples
+@given(lattices())
+def test_joint_viterbi_beta1_attains_best_mean(inst):
+    hyp = joint_viterbi_decode(inst, beta=1.0)
+    best = brute_force_best_joint(inst).best_per_length
+    top = max(math.log(p) / length for length, (_, p) in best.items() if p > 0)
+    assert math.isclose(hyp.joint_logprob / hyp.length, top, rel_tol=1e-9)
