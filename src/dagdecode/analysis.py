@@ -198,9 +198,9 @@ def _is_tie(a: float, b: float) -> bool:
 def _decode_instance(instance: Instance, strategies, beta: float):
     """Every strategy's hypothesis on one instance, and its best joint log-score per length.
 
-    The scores are the last column of the JOINT table; the joint-viterbi
-    decode's own table supplies it when that strategy runs, so the table is
-    built once per instance either way. Only the column outlives the call.
+    The scores are the JOINT table's ``alpha``; the joint-viterbi decode's own
+    table supplies them when that strategy runs, so the table is built once
+    per instance either way.
     """
     hyps = {}
     joint = None
@@ -211,7 +211,7 @@ def _decode_instance(instance: Instance, strategies, beta: float):
             hyps[name] = decode(instance, name, beta)
     if joint is None:
         joint = build_viterbi_table(instance, TableMode.JOINT)
-    return hyps, joint.alpha[:, -1].copy()
+    return hyps, joint.alpha
 
 
 def _match_fraction(optima, outputs) -> float:

@@ -3,8 +3,10 @@
 Two sequential baselines (greedy, lookahead) and two dynamic-programming
 decoders that are exact per output length: a max-score table over the
 transition table alone (PATH mode) or over transitions with each target
-position's best emission folded in (JOINT mode). Length selection divides
-each length's log-score by ``length ** beta`` before taking the argmax.
+position's best emission folded in (JOINT mode). The table keeps what its
+readers read: each output length's best log-score at position L, and the
+backpointers that recover that path. Length selection divides each
+length's log-score by ``length ** beta`` before taking the argmax.
 
 Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
 ``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
@@ -53,14 +55,15 @@ TABLE_MODES = {"viterbi": TableMode.PATH, "joint-viterbi": TableMode.JOINT}
 
 @dataclass(frozen=True)
 class ViterbiTable:
-    """Best-prefix log-scores and backpointers, one row per prefix length.
+    """Best log-score per output length, and backpointers per prefix.
 
-    ``alpha[i-1, t-1]`` is the best log-score of any length-i prefix path
-    from position 1 to position t; ``psi[i-1, t-1]`` is the 1-based
-    predecessor position achieving it (0 where there is none), stored in the
-    narrowest unsigned dtype that holds L. PATH mode scores transitions
-    only; JOINT mode uses the emission-augmented transition table and seeds
-    the start cell with position 1's best emission log-probability.
+    ``alpha[i-1]`` is the best log-score of any length-i path from position 1
+    to position L (``-inf`` where there is none); ``psi[i-1, t-1]`` is the
+    1-based predecessor position on the best length-i prefix path ending at
+    position t (0 where there is none), stored in the narrowest unsigned
+    dtype that holds L. PATH mode scores transitions only; JOINT mode uses
+    the emission-augmented transition table and seeds the start with
+    position 1's best emission log-probability.
     """
 
     alpha: np.ndarray
@@ -70,18 +73,13 @@ class ViterbiTable:
     def L(self) -> int:
         return self.alpha.shape[0]
 
-    def score(self, length: int, position: int) -> float:
-        """alpha at a 1-based (prefix length, end position) pair."""
-        return float(self.alpha[length - 1, position - 1])
-
     def predecessor(self, length: int, position: int) -> int:
         """1-based backpointer at (prefix length, end position); 0 if none."""
         return int(self.psi[length - 1, position - 1])
 
     def feasible_lengths(self) -> list[int]:
         """Lengths whose best path actually reaches the terminal position."""
-        terminal = self.alpha[:, self.L - 1]
-        return [i + 1 for i in np.flatnonzero(np.isfinite(terminal))]
+        return [int(i) + 1 for i in np.flatnonzero(np.isfinite(self.alpha))]
 
 
 @dataclass(frozen=True)
@@ -93,31 +91,35 @@ class LengthSelection:
 
 
 def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
-    """Fill the best-prefix table for every (length, end position) pair.
+    """Fill the backpointers for every (length, end position) pair.
 
     One pass per prefix length; each pass maximizes over predecessors in a
-    single vectorized step. Positions earlier than the prefix length are
-    unreachable and stay ``-inf``. The predecessor argmax takes the first
-    (smallest) position on ties.
+    single vectorized step and carries only its row of best prefix scores to
+    the next pass, keeping the terminal entry as that length's score.
+    Positions earlier than the prefix length are unreachable. The
+    predecessor argmax takes the first (smallest) position on ties.
     """
     L = instance.L
-    alpha = np.full((L, L), LOG_ZERO)
+    alpha = np.full(L, LOG_ZERO)
     psi = np.zeros((L, L), dtype=np.min_scalar_type(L))
-    alpha[0, 0] = 0.0
+    # prev[k] is the best length-i prefix score ending at 0-based position i-1+k.
+    prev = np.full(L, LOG_ZERO)
+    prev[0] = 0.0
     # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
     # A copy, not a view: JOINT mode adds to it in place.
     weights_t = instance.log_transitions.T.copy()
     if mode is TableMode.JOINT:
         best_emission = instance.log_emissions.max(axis=1)
         weights_t += best_emission[:, None]
-        alpha[0, 0] = best_emission[0]
+        prev[0] = best_emission[0]
+    alpha[0] = prev[-1]
     for i in range(1, L):
         # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
-        scores = weights_t[i:, i - 1 :] + alpha[i - 1, i - 1 :][None, :]
+        scores = weights_t[i:, i - 1 :] + prev[None, :]
         best = np.argmax(scores, axis=1)
-        values = scores[np.arange(L - i), best]
-        alpha[i, i:] = values
-        psi[i, i:] = np.where(np.isfinite(values), best + i, 0)
+        prev = scores[np.arange(L - i), best]
+        alpha[i] = prev[-1]
+        psi[i, i:] = np.where(np.isfinite(prev), best + i, 0)
         # Drop this pass's scores before the next pass allocates its own, so
         # that only one (L-i)x(L-i+1) temporary is alive at a time.
         del scores
@@ -135,29 +137,24 @@ def select_length(table: ViterbiTable, beta: float) -> LengthSelection:
     """
     if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    terminal = table.alpha[:, table.L - 1]
     per_length: dict[int, tuple[float, float]] = {}
-    chosen = None
-    chosen_score = None
-    for idx in np.flatnonzero(np.isfinite(terminal)):
-        length = int(idx) + 1
-        raw = float(terminal[idx])
+    for length in table.feasible_lengths():
+        raw = float(table.alpha[length - 1])
         try:
             penalized = raw / length**beta
         except OverflowError:
             penalized = raw / np.inf
         per_length[length] = (raw, penalized)
-        if chosen_score is None or penalized >= chosen_score:
-            chosen, chosen_score = length, penalized
-    if chosen is None:
+    if not per_length:
         raise UnreachableTerminalError("no path of any length reaches the terminal")
+    chosen = max(per_length, key=lambda length: (per_length[length][1], length))
     return LengthSelection(chosen_M=chosen, per_length_scores=per_length)
 
 
 def backtrace(table: ViterbiTable, M: int) -> DecodingPath:
     """Recover the best length-M path by walking backpointers from the end."""
     L = table.L
-    if not 1 <= M <= L or not np.isfinite(table.alpha[M - 1, L - 1]):
+    if not 1 <= M <= L or not np.isfinite(table.alpha[M - 1]):
         raise InfeasibleLengthError(f"no path of length {M} reaches the terminal")
     positions = [L]
     t = L
@@ -244,7 +241,8 @@ def _walk(instance: Instance, bonus) -> tuple[int, ...]:
     positions = [1]
     while t < L:
         combined = instance.log_transitions[t - 1] + bonus
-        nxt = int(np.argmax(combined))
+        # Only strictly later positions count, so the walk always moves on.
+        nxt = t + int(np.argmax(combined[t:]))
         if combined[nxt] == LOG_ZERO:
             raise DeadEndError(f"no outgoing transition from position {t}")
         t = nxt + 1

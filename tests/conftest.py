@@ -1,4 +1,8 @@
+import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,25 @@ def table_builds(monkeypatch) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return builds
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` that imports this package; failed (killed) after 60 s."""
+    src = str(Path(decoders.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+
+
+def build_peak(inst: Instance, mode) -> int:
+    """tracemalloc's peak, in bytes, over one ``build_viterbi_table(inst, mode)`` call."""
+    tracemalloc.start()
+    try:
+        decoders.build_viterbi_table(inst, mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(seed: int, L: int = 6, V: int = 3, sparsity: float = 0.0,

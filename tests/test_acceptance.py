@@ -53,7 +53,7 @@ def test_criterion_1_path_optimality(suite_500):
         table = build_viterbi_table(inst, TableMode.PATH)
         best = brute_force_best_path(inst).best_per_length
         for length in table.feasible_lengths():
-            got = math.exp(table.score(length, inst.L))
+            got = math.exp(table.alpha[length - 1])
             want = best[length][1]
             worst = max(worst, abs(got - want) / want)
             checked += 1
@@ -73,7 +73,7 @@ def test_criterion_2_joint_optimality(suite_500):
         table = build_viterbi_table(inst, TableMode.JOINT)
         best = brute_force_best_joint(inst).best_per_length
         for length in table.feasible_lengths():
-            got = math.exp(table.score(length, inst.L))
+            got = math.exp(table.alpha[length - 1])
             want = best[length][1]
             worst = max(worst, abs(got - want) / want)
         for beta in (0.0, 1.0):
@@ -82,7 +82,7 @@ def test_criterion_2_joint_optimality(suite_500):
             assert hyp.length == selection.chosen_M
             worst_rescore = max(
                 worst_rescore,
-                abs(hyp.joint_logprob - table.score(selection.chosen_M, inst.L)),
+                abs(hyp.joint_logprob - table.alpha[selection.chosen_M - 1]),
             )
     _report(
         "2 joint optimality vs enumeration",
@@ -161,7 +161,7 @@ def test_criterion_5_length_penalty_reduction(suite_500):
     for inst in suite_500[:80]:
         for mode in (TableMode.PATH, TableMode.JOINT):
             table = build_viterbi_table(inst, mode)
-            terminal = {i: table.score(i, inst.L) for i in table.feasible_lengths()}
+            terminal = {i: table.alpha[i - 1] for i in table.feasible_lengths()}
             expected = max(sorted(terminal), key=lambda i: (terminal[i], i))
             ok = ok and select_length(table, 0.0).chosen_M == expected
 
@@ -169,7 +169,7 @@ def test_criterion_5_length_penalty_reduction(suite_500):
     table = build_viterbi_table(i4, TableMode.PATH)
     golden = {2: 0.1, 3: 0.28, 4: 0.42}
     worst = max(
-        abs(math.exp(table.score(i, 4)) - p) / p for i, p in golden.items()
+        abs(math.exp(table.alpha[i - 1]) - p) / p for i, p in golden.items()
     )
     _report(
         "5 beta=0 reduces to plain argmax",

@@ -1,9 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +9,8 @@ import pytest
 import dagdecode
 from dagdecode import Instance, TableMode, save_instance, scoring
 from dagdecode.cli import run_cli
+
+from conftest import run_python
 
 
 @pytest.fixture
@@ -183,6 +182,28 @@ class TestDecode:
         )
         assert code == 0
         assert json.loads(out)["hypothesis"]["path"] == [1, 2]
+
+    @pytest.mark.parametrize("strategy", ["greedy", "lookahead"])
+    @pytest.mark.parametrize(
+        "cell, value",
+        [((2, 2), 1.0), ((2, 1), 5.0), ((2, 0), 0.5)],
+        ids=["diagonal", "below-diagonal", "below-diagonal-start"],
+    )
+    def test_walk_ignores_entries_not_later(self, tmp_path, i4, cell, value, strategy):
+        # Unvalidated finite entries on or below the diagonal outscore every
+        # later position; the walk must still only move forward. A subprocess,
+        # so that a walk which never returns fails instead of stalling.
+        trans = np.array(i4.log_transitions)
+        trans[cell] = value
+        broken = Instance(L=4, V=2, log_transitions=trans, log_emissions=i4.log_emissions)
+        path = tmp_path / "backward.json"
+        save_instance(broken, path)
+        proc = run_python(
+            "-m", "dagdecode.cli", "decode", "--strategy", strategy, "--input", str(path),
+            "--no-validate",
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["hypothesis"]["path"] == [1, 2, 3, 4]
 
     def test_dead_end_is_infeasibility(self, capsys, tmp_path, i4):
         trans = np.array(i4.log_transitions)
@@ -515,17 +536,14 @@ class TestHelp:
         capsys.readouterr()
 
     def test_python_dash_m_runs_cli(self, i4_file):
-        src = str(Path(dagdecode.__file__).resolve().parents[1])
-
-        def cli(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "dagdecode.cli", *argv],
-                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-            )
-
-        proc = cli("decode", "--strategy", "greedy", "--input", str(i4_file))
+        proc = run_python(
+            "-m", "dagdecode.cli", "decode", "--strategy", "greedy", "--input", str(i4_file)
+        )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hypothesis"]["path"] == [1, 2, 3, 4]
-        proc = cli("score", "--input", str(i4_file), "--path", "1,,4", "--tokens", "0,1")
+        proc = run_python(
+            "-m", "dagdecode.cli", "score", "--input", str(i4_file),
+            "--path", "1,,4", "--tokens", "0,1",
+        )
         assert proc.returncode == 1
         assert proc.stdout == ""

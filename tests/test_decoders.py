@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,10 +34,12 @@ from dagdecode.logmath import LOG_ZERO
 from conftest import (
     I4_EMISSIONS,
     I4_TRANSITIONS,
+    build_peak,
     funnel,
     hypothesis_fields,
     random_batch,
     random_instance,
+    run_python,
 )
 
 
@@ -68,6 +69,22 @@ class TestGreedy:
         broken = Instance(L=4, V=2, log_transitions=trans, log_emissions=i4.log_emissions)
         with pytest.raises(DeadEndError):
             greedy_decode(broken)
+
+    def test_walks_pass_over_nan_on_the_diagonal(self):
+        # An instance file cannot hold NaN, so this calls the library, in a
+        # subprocess so that a walk which never returns fails instead of stalling.
+        script = (
+            "import numpy as np\n"
+            "from dagdecode import Instance, greedy_decode, lookahead_decode\n"
+            f"inst = Instance.from_probs({I4_TRANSITIONS!r}, {I4_EMISSIONS!r})\n"
+            "trans = np.array(inst.log_transitions)\n"
+            "trans[1, 1] = np.nan\n"
+            "inst = Instance(L=4, V=2, log_transitions=trans, log_emissions=inst.log_emissions)\n"
+            "print(greedy_decode(inst).path.positions, lookahead_decode(inst).path.positions)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(1, 2, 3, 4) (1, 2, 3, 4)\n"
 
     def test_single_position(self):
         inst = Instance.from_probs([[0.0]], [[0.2, 0.8]])
@@ -101,31 +118,29 @@ class TestLookahead:
 
 
 def _table_from_terminal_scores(scores: dict[int, float], L: int) -> ViterbiTable:
-    alpha = np.full((L, L), LOG_ZERO)
+    alpha = np.full(L, LOG_ZERO)
     psi = np.zeros((L, L), dtype=np.int64)
     for length, value in scores.items():
-        alpha[length - 1, L - 1] = value
+        alpha[length - 1] = value
     return ViterbiTable(alpha=alpha, psi=psi)
 
 
 class TestViterbiTable:
     def test_i2_path_mode(self, i2):
         table = build_viterbi_table(i2, TableMode.PATH)
-        assert table.score(2, 2) == 0.0
+        assert table.alpha[1] == 0.0
         assert table.predecessor(2, 2) == 1
-        assert table.score(1, 1) == 0.0
-        assert table.score(1, 2) == LOG_ZERO
+        assert table.alpha[0] == LOG_ZERO
 
     def test_i4_path_terminal_scores(self, i4):
         table = build_viterbi_table(i4, TableMode.PATH)
-        assert table.score(2, 4) == pytest.approx(math.log(0.1), rel=1e-12)
-        assert table.score(3, 4) == pytest.approx(math.log(0.28), rel=1e-12)
-        assert table.score(4, 4) == pytest.approx(math.log(0.42), rel=1e-12)
+        assert table.alpha[1] == pytest.approx(math.log(0.1), rel=1e-12)
+        assert table.alpha[2] == pytest.approx(math.log(0.28), rel=1e-12)
+        assert table.alpha[3] == pytest.approx(math.log(0.42), rel=1e-12)
 
     def test_i4_joint_terminal_score(self, i4):
         table = build_viterbi_table(i4, TableMode.JOINT)
-        assert table.score(4, 4) == pytest.approx(math.log(0.127008), rel=1e-12)
-        assert table.score(1, 1) == pytest.approx(math.log(0.9), rel=1e-12)
+        assert table.alpha[3] == pytest.approx(math.log(0.127008), rel=1e-12)
 
     def test_backpointer_tie_breaks_to_smallest_position(self):
         # Two equal-probability predecessors for the terminal hop.
@@ -163,51 +178,46 @@ class TestViterbiTable:
         assert paths.hexdigest() == digest
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_build_peak_within_29_bytes_per_cell(self, mode):
-        # alpha, psi and the weights are 18 bytes per cell; one pass's scores
-        # may be alive at a time, not two.
+    def test_build_peak_within_21_bytes_per_cell(self, mode):
+        # psi and the weights are 10 bytes per cell; one pass's scores may be
+        # alive at a time, and no L x L score matrix at all.
         L = 256
-        inst = random_instance(5, L=L, V=8)
-        tracemalloc.start()
-        try:
-            build_viterbi_table(inst, mode)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 29 * L * L
+        assert build_peak(random_instance(5, L=L, V=8), mode) <= 21 * L * L
 
     def test_joint_build_peaks_no_higher_than_path_build(self):
         # Folding the emissions into the one transposed weights array keeps
         # the JOINT build's temporaries to the PATH build's.
         inst = random_instance(5, L=256, V=8)
-        peaks = {}
-        for mode in (TableMode.PATH, TableMode.JOINT):
-            tracemalloc.start()
-            try:
-                build_viterbi_table(inst, mode)
-                peaks[mode] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {mode: build_peak(inst, mode) for mode in (TableMode.PATH, TableMode.JOINT)}
         assert peaks[TableMode.JOINT] <= 1.02 * peaks[TableMode.PATH]
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_invariants_on_random_instances(self, mode):
+    def test_kept_bytes_are_backpointers_and_one_score_per_length(self, mode):
+        L = 256
+        table = build_viterbi_table(random_instance(5, L=L, V=8), mode)
+        assert table.alpha.shape == (L,)
+        assert table.alpha.nbytes + table.psi.nbytes <= 2 * L * L + 8 * L
+
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_backtraces_rescore_to_alpha(self, mode):
         for inst in random_batch(8, seed0=300, L=8, V=3, sparsity=0.3):
             table = build_viterbi_table(inst, mode)
             L = inst.L
-            assert table.score(1, 1) == (
-                0.0 if mode is TableMode.PATH else float(inst.log_emissions[0].max())
-            )
-            assert all(table.score(1, t) == LOG_ZERO for t in range(2, L + 1))
-            for i in range(2, L + 1):
-                for t in range(1, L + 1):
-                    a = table.score(i, t)
-                    if a == LOG_ZERO:
-                        continue
-                    pred = table.predecessor(i, t)
-                    assert pred >= 1
-                    # Extending a prefix can only lower its score.
-                    assert a <= table.score(i - 1, pred) + 1e-12
+            feasible = table.feasible_lengths()
+            for length in feasible:
+                path = backtrace(table, length)
+                positions = path.positions
+                assert len(positions) == length
+                assert positions[0] == 1 and positions[-1] == L
+                assert all(a < b for a, b in zip(positions, positions[1:]))
+                score = path_log_prob(inst, path)
+                if mode is TableMode.JOINT:
+                    pos = np.asarray(positions) - 1
+                    score += inst.log_emissions[pos].max(axis=1).sum()
+                assert score == pytest.approx(table.alpha[length - 1], abs=1e-12)
+            for length in sorted(set(range(L + 2)) - set(feasible)):
+                with pytest.raises(InfeasibleLengthError):
+                    backtrace(table, length)
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
     def test_matches_oracle_per_length(self, mode):
@@ -218,7 +228,7 @@ class TestViterbiTable:
             table = build_viterbi_table(inst, mode)
             best = enumerate_best(inst).best_per_length
             for length in table.feasible_lengths():
-                assert math.exp(table.score(length, inst.L)) == pytest.approx(
+                assert math.exp(table.alpha[length - 1]) == pytest.approx(
                     best[length][1], rel=1e-12
                 )
 
@@ -334,7 +344,7 @@ class TestJointViterbiDecode:
                 hyp = joint_viterbi_decode(inst, beta=beta)
                 assert hyp.length == sel.chosen_M
                 assert hyp.joint_logprob == pytest.approx(
-                    table.score(sel.chosen_M, inst.L), abs=1e-9
+                    table.alpha[sel.chosen_M - 1], abs=1e-9
                 )
 
     def test_dominates_all_other_strategies(self):
@@ -404,14 +414,14 @@ class TestDeterminismAndDispatch:
             for length in ptable.feasible_lengths():
                 path = backtrace(ptable, length)
                 assert path_log_prob(inst, path) == pytest.approx(
-                    ptable.score(length, inst.L), abs=1e-9
+                    ptable.alpha[length - 1], abs=1e-9
                 )
             jtable = build_viterbi_table(inst, TableMode.JOINT)
             for length in jtable.feasible_lengths():
                 path = backtrace(jtable, length)
                 hyp = argmax_hypothesis(inst, path)
                 assert joint_log_prob(inst, path, hyp.tokens) == pytest.approx(
-                    jtable.score(length, inst.L), abs=1e-9
+                    jtable.alpha[length - 1], abs=1e-9
                 )
 
 

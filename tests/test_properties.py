@@ -10,6 +10,7 @@ rather than rare.
 """
 
 import math
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from dagdecode import (
     brute_force_best_path,
     build_viterbi_table,
     decode,
+    decode_all_lengths,
     greedy_decode,
     joint_viterbi_decode,
     lookahead_decode,
@@ -66,6 +68,23 @@ def test_viterbi_per_length_scores_match_oracle(inst):
     assert table.feasible_lengths() == sorted(selection.per_length_scores)
     for length, (raw, _) in selection.per_length_scores.items():
         assert math.isclose(math.exp(raw), best[length][1], rel_tol=1e-12)
+
+
+@examples
+@given(lattices(), MODES)
+def test_every_length_hypothesis_matches_oracle(inst, mode):
+    # Each length's backtrace, not only the selected one's, reaches that length's optimum.
+    table = build_viterbi_table(inst, mode)
+    if mode is TableMode.PATH:
+        best = brute_force_best_path(inst).best_per_length
+        logprob = attrgetter("path_logprob")
+    else:
+        best = brute_force_best_joint(inst).best_per_length
+        logprob = attrgetter("joint_logprob")
+    hyps = decode_all_lengths(inst, table)
+    assert [h.length for h in hyps] == sorted(m for m, (_, p) in best.items() if p > 0)
+    for hyp in hyps:
+        assert math.isclose(math.exp(logprob(hyp)), best[hyp.length][1], rel_tol=1e-12)
 
 
 @examples
