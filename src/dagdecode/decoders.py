@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleLengthError,
     UnreachableTerminalError,
 )
-from .lattice import DecodingPath, Hypothesis, Instance
+from .lattice import DecodingPath, Hypothesis, Instance, later_hops
 from .logmath import LOG_ZERO
 
 STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
@@ -96,8 +96,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     One pass per prefix length; each pass maximizes over predecessors in a
     single vectorized step and carries only its row of best prefix scores to
     the next pass, keeping the terminal entry as that length's score.
-    Positions earlier than the prefix length are unreachable. The
-    predecessor argmax takes the first (smallest) position on ties.
+    Positions earlier than the prefix length are unreachable, and only hops
+    to strictly later positions are read. The predecessor argmax takes the
+    first (smallest) position on ties.
     """
     L = instance.L
     alpha = np.full(L, LOG_ZERO)
@@ -107,7 +108,7 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     prev[0] = 0.0
     # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
     # A copy, not a view: JOINT mode adds to it in place.
-    weights_t = instance.log_transitions.T.copy()
+    weights_t = later_hops(instance).T.copy()
     if mode is TableMode.JOINT:
         best_emission = instance.log_emissions.max(axis=1)
         weights_t += best_emission[:, None]
@@ -268,38 +269,34 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     pass charges every hop ``lam``, ``lam`` starts at the mean of the path
     the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
     mean of each pass's path until the path repeats. None (build the table)
-    when the answer cannot be certified: a NaN or ``+inf`` weight, a finite
-    weight on or below the diagonal (the table reads those, the passes do
-    not), an unreachable terminal, a walk that dead-ends, a mean that stops
-    rising, or a near-tie on the last pass.
+    when the answer cannot be certified: a NaN or ``+inf`` weight, an
+    unreachable terminal, a walk that dead-ends, a mean that stops rising,
+    or a near-tie on the last pass.
     """
     weights, start, bonus = instance.log_transitions, 0.0, 0.0
     if mode is TableMode.JOINT:
         bonus = instance.log_emissions.max(axis=1)
         weights = weights + bonus
         start = bonus[0]
-    # max() is NaN if any entry is; np.tri marks the diagonal and below.
+    # max() is NaN if any entry is.
     if not (start < np.inf and weights.max() < np.inf):
         return None
-    if (np.isfinite(weights) & np.tri(instance.L, dtype=bool)).any():
-        return None
-    if beta == 0:
-        path, certified = _longest_path(weights, start, 0.0)
-    else:
+    path, lam = None, 0.0
+    if beta == 1:
         try:
             path = _walk(instance, bonus)
         except DeadEndError:
             return None
         lam = _mean_score(weights, start, path)
-        while True:
-            previous = path
-            path, certified = _longest_path(weights, start, lam)
-            if path is None or path == previous:
-                break
-            mean = _mean_score(weights, start, path)
-            if not mean > lam:
-                return None
-            lam = mean
+    while True:
+        previous = path
+        path, certified = _longest_path(weights, start, lam)
+        if beta == 0 or path is None or path == previous:
+            break
+        mean = _mean_score(weights, start, path)
+        if not mean > lam:
+            return None
+        lam = mean
     if path is None or not certified:
         return None
     return argmax_hypothesis(instance, DecodingPath(path))

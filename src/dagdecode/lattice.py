@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InstanceValidationError, PathShapeError, ShapeError, VocabError
-from .logmath import log_from_prob, logsumexp
+from .logmath import LOG_ZERO, log_from_prob, logsumexp
 
 #: Tolerance on |logsumexp(row)| for a row to count as normalized.
 NORMALIZATION_TOL = 1e-6
@@ -32,8 +32,9 @@ class Instance:
         Vocabulary size (>= 1).
     log_transitions : array, shape (L, L)
         ``[t, t']`` is the log-probability of hopping from position ``t+1``
-        to position ``t'+1``; entries at or below the diagonal must be
-        ``-inf`` (paths only ever move to strictly later positions).
+        to position ``t'+1``. Paths only move to strictly later positions:
+        finite entries on or below the diagonal are reported by
+        :func:`validate` and ignored by every decoder and score.
     log_emissions : array, shape (L, V)
         ``[t, y]`` is the log-probability of emitting token ``y`` at
         position ``t+1``.
@@ -202,7 +203,8 @@ def validate(instance: Instance) -> list[str]:
 
     An empty list means the instance is valid. Rows are reported 1-based.
     Checked per transition row t < L: entries at non-later positions are
-    ``-inf``, at least one successor is reachable, and the successor mass
+    ``-inf`` (a finite one is reported, and every decoder and score ignores
+    it), at least one successor is reachable, and the successor mass
     normalizes to 1 within ``NORMALIZATION_TOL`` (in log space). Row L must
     be entirely ``-inf``, and every emission row must normalize. A table
     holding NaN is reported by its first NaN entry, 0-based as in the file.
@@ -250,3 +252,8 @@ def validate(instance: Instance) -> list[str]:
             )
 
     return violations
+
+
+def later_hops(instance: Instance) -> np.ndarray:
+    """``log_transitions`` with the diagonal and below (hops no path takes) set to ``-inf``."""
+    return np.where(np.tri(instance.L, dtype=bool), LOG_ZERO, instance.log_transitions)

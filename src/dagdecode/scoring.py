@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleLengthError, PathShapeError, ShapeError
-from .lattice import DecodingPath, Instance, as_path, check_tokens
+from .lattice import DecodingPath, Instance, as_path, check_tokens, later_hops
 from .logmath import LOG_ZERO, entropy_nats, logsumexp
 
 
@@ -75,10 +75,11 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
         raise InfeasibleLengthError(
             f"no path of length {M} exists on a lattice of {L} positions"
         )
+    hops = later_hops(instance)
     forward = np.full(L, LOG_ZERO)
     forward[0] = instance.log_emissions[0, toks[0]]
     for i in range(1, M):
-        hopped = logsumexp(forward[:, None] + instance.log_transitions, axis=0)
+        hopped = logsumexp(forward[:, None] + hops, axis=0)
         forward = hopped + instance.log_emissions[:, toks[i]]
     return float(forward[L - 1])
 

@@ -72,6 +72,14 @@ def build_peak(inst: Instance, mode) -> int:
         tracemalloc.stop()
 
 
+def with_transitions(inst: Instance, cells: dict) -> Instance:
+    """An unvalidated copy of ``inst`` with each 0-based ``(row, col)`` log-transition set."""
+    trans = inst.log_transitions.copy()
+    for cell, value in cells.items():
+        trans[cell] = value
+    return Instance(L=inst.L, V=inst.V, log_transitions=trans, log_emissions=inst.log_emissions)
+
+
 def random_instance(seed: int, L: int = 6, V: int = 3, sparsity: float = 0.0,
                     transition_concentration: float = 1.0,
                     emission_concentration: float = 1.0) -> Instance:

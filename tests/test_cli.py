@@ -9,8 +9,9 @@ import pytest
 import dagdecode
 from dagdecode import Instance, TableMode, save_instance, scoring
 from dagdecode.cli import run_cli
+from dagdecode.decoders import STRATEGIES
 
-from conftest import run_python
+from conftest import run_python, with_transitions
 
 
 @pytest.fixture
@@ -24,6 +25,14 @@ def i4_file(tmp_path, i4):
 def i2_file(tmp_path, i2):
     path = tmp_path / "I2.json"
     save_instance(i2, path)
+    return path
+
+
+@pytest.fixture
+def backward_file(tmp_path, i4):
+    """I4, unvalidated, with finite hops from position 3 to itself and back to 2."""
+    path = tmp_path / "backward.json"
+    save_instance(with_transitions(i4, {(2, 2): 1.0, (2, 1): 5.0}), path)
     return path
 
 
@@ -183,7 +192,7 @@ class TestDecode:
         assert code == 0
         assert json.loads(out)["hypothesis"]["path"] == [1, 2]
 
-    @pytest.mark.parametrize("strategy", ["greedy", "lookahead"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
         "cell, value",
         [((2, 2), 1.0), ((2, 1), 5.0), ((2, 0), 0.5)],
@@ -191,19 +200,33 @@ class TestDecode:
     )
     def test_walk_ignores_entries_not_later(self, tmp_path, i4, cell, value, strategy):
         # Unvalidated finite entries on or below the diagonal outscore every
-        # later position; the walk must still only move forward. A subprocess,
-        # so that a walk which never returns fails instead of stalling.
-        trans = np.array(i4.log_transitions)
-        trans[cell] = value
-        broken = Instance(L=4, V=2, log_transitions=trans, log_emissions=i4.log_emissions)
+        # later position; every strategy must still only move forward. A
+        # subprocess, so that a walk which never returns fails instead of stalling.
         path = tmp_path / "backward.json"
-        save_instance(broken, path)
+        save_instance(with_transitions(i4, {cell: value}), path)
         proc = run_python(
             "-m", "dagdecode.cli", "decode", "--strategy", strategy, "--input", str(path),
             "--no-validate",
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hypothesis"]["path"] == [1, 2, 3, 4]
+
+    def test_per_length_scores_ignore_backward_hop(self, capsys, backward_file):
+        code, out, _ = run(
+            capsys,
+            ["decode", "--strategy", "viterbi", "--beta", "0", "--input", str(backward_file),
+             "--no-validate"],
+        )
+        assert code == 0
+        scores = json.loads(out)["per_length_scores"]
+        code, out, _ = run(
+            capsys, ["oracle", "--mode", "path", "--input", str(backward_file), "--no-validate"]
+        )
+        assert code == 0
+        best = json.loads(out)["best_per_length"]
+        assert set(scores) == {m for m, b in best.items() if b["probability"] > 0}
+        for length, score in scores.items():
+            assert score["raw"] == pytest.approx(math.log(best[length]["probability"]), abs=1e-9)
 
     def test_dead_end_is_infeasibility(self, capsys, tmp_path, i4):
         trans = np.array(i4.log_transitions)
@@ -249,6 +272,16 @@ class TestScore:
         assert doc["scores"]["marginal_logprob"] == pytest.approx(
             math.log(0.05616), abs=1e-9
         )
+
+    def test_marginal_ignores_backward_hop(self, capsys, backward_file):
+        tokens = ["--tokens", "0,1,0,1", "--input", str(backward_file), "--no-validate"]
+        code, out, _ = run(capsys, ["score", "--path", "1,2,3,4", "--marginal", *tokens])
+        assert code == 0
+        marginal = json.loads(out)["scores"]["marginal_logprob"]
+        code, out, _ = run(capsys, ["oracle", "--mode", "marginal", *tokens])
+        assert code == 0
+        exact = json.loads(out)["marginal_probability"]
+        assert marginal == pytest.approx(math.log(exact), abs=1e-9)
 
     def test_bad_path_is_data_error(self, capsys, i4_file):
         code, _, _ = run(

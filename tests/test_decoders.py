@@ -40,6 +40,7 @@ from conftest import (
     random_batch,
     random_instance,
     run_python,
+    with_transitions,
 )
 
 
@@ -435,20 +436,19 @@ def _outcome(call):
 
 def _unvalidated_i4(case: str) -> Instance:
     i4 = Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS)
-    trans, emis = i4.log_transitions.copy(), i4.log_emissions.copy()
-    if case == "nan":
-        trans[0, 1] = math.nan
-    elif case == "nan-emission":
+    if case == "nan-emission":
+        emis = i4.log_emissions.copy()
         emis[2, 0] = math.nan
-    elif case == "posinf":
-        trans[1, 3] = math.inf
-    elif case == "diagonal":
-        trans[2, 2] = 1.0  # the table reads it: its best path revisits position 3
-    elif case == "below-diagonal":
-        trans[3, 2] = 5.0  # the table's best path goes from 4 back to 3
-    elif case == "unreachable":
-        trans[:, 3] = LOG_ZERO
-    return Instance(L=4, V=2, log_transitions=trans, log_emissions=emis)
+        return Instance(L=4, V=2, log_transitions=i4.log_transitions, log_emissions=emis)
+    cells = {
+        "nan": {(0, 1): math.nan},
+        "posinf": {(1, 3): math.inf},
+        # Above every later hop, but no path stays at 3 or goes from 4 back to 3.
+        "diagonal": {(2, 2): 1.0},
+        "below-diagonal": {(3, 2): 5.0},
+        "unreachable": {(t, 3): LOG_ZERO for t in range(4)},
+    }[case]
+    return with_transitions(i4, cells)
 
 
 STRATEGY_MODES = sorted(TABLE_MODES.items())
@@ -505,6 +505,14 @@ class TestLongestPathRoute:
         assert _outcome(lambda: decode(inst, strategy, beta)) == _outcome(
             lambda: table_decode(inst, mode, beta)[0]
         )
+
+    @pytest.mark.parametrize("case", ["diagonal", "below-diagonal"])
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_entries_not_later_build_no_table(self, table_builds, case, strategy, beta):
+        # The passes read only later hops, as the table does, so nothing falls back.
+        decode(_unvalidated_i4(case), strategy, beta)
+        assert table_builds == []
 
     @pytest.mark.parametrize("beta", [math.nan, -1.0])
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))

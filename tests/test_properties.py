@@ -6,7 +6,9 @@ is checked field by field against ``table_decode``, ties included.
 The tie tests reshape a generated lattice so that two neighbouring
 positions ``a`` and ``b = a + 1`` share their incoming transition column
 and every path passes through one of them, which makes exact ties certain
-rather than rare.
+rather than rare. Lattices with finite transition entries on or below the
+diagonal (accepted unvalidated) must decode and score as if those entries
+were ``-inf``: no path can take them, and the oracle never does.
 """
 
 import math
@@ -20,17 +22,19 @@ from dagdecode import (
     backtrace,
     brute_force_best_joint,
     brute_force_best_path,
+    brute_force_marginal,
     build_viterbi_table,
     decode,
     decode_all_lengths,
     greedy_decode,
     joint_viterbi_decode,
     lookahead_decode,
+    marginal_translation_log_prob,
     table_decode,
 )
 from dagdecode.decoders import TABLE_MODES
 
-from conftest import funnel, hypothesis_fields, random_instance
+from conftest import funnel, hypothesis_fields, random_instance, with_transitions
 
 MODES = st.sampled_from([TableMode.PATH, TableMode.JOINT])
 TABLE_STRATEGIES = st.sampled_from(sorted(TABLE_MODES))
@@ -49,6 +53,17 @@ def lattices(draw, min_L=1):
         V=draw(st.integers(1, 4)),
         sparsity=draw(st.floats(0.0, 0.5)),
     )
+
+
+@st.composite
+def backward_hops(draw):
+    """A generated lattice with 1-3 finite transition entries on or below the diagonal."""
+    inst = draw(lattices())
+    cells = {}
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, inst.L - 1))
+        cells[row, draw(st.integers(0, row))] = draw(st.floats(-2.0, 1.5))
+    return with_transitions(inst, cells)
 
 
 @st.composite
@@ -147,3 +162,34 @@ def test_joint_viterbi_beta1_attains_best_mean(inst):
     best = brute_force_best_joint(inst).best_per_length
     top = max(math.log(p) / length for length, (_, p) in best.items() if p > 0)
     assert math.isclose(hyp.joint_logprob / hyp.length, top, rel_tol=1e-9)
+
+
+@examples
+@given(backward_hops(), MODES)
+def test_table_ignores_entries_not_later(inst, mode):
+    table = build_viterbi_table(inst, mode)
+    oracle = brute_force_best_path if mode is TableMode.PATH else brute_force_best_joint
+    best = oracle(inst).best_per_length
+    assert table.feasible_lengths() == sorted(m for m, (_, p) in best.items() if p > 0)
+    for length in table.feasible_lengths():
+        assert math.isclose(math.exp(table.alpha[length - 1]), best[length][1], rel_tol=1e-12)
+
+
+@examples
+@given(backward_hops(), st.data())
+def test_marginal_ignores_entries_not_later(inst, data):
+    length = data.draw(st.integers(min(2, inst.L), inst.L))
+    tokens = data.draw(st.lists(st.integers(0, inst.V - 1), min_size=length, max_size=length))
+    logprob = marginal_translation_log_prob(inst, tokens)
+    exact = brute_force_marginal(inst, tokens)
+    if exact == 0.0:
+        assert logprob == -math.inf
+    else:
+        assert math.isclose(math.exp(logprob), exact, rel_tol=1e-9)
+
+
+@examples
+@given(backward_hops(), TABLE_STRATEGIES, PASS_BETAS)
+def test_decode_matches_table_on_entries_not_later(inst, strategy, beta):
+    expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
+    assert hypothesis_fields(decode(inst, strategy, beta)) == hypothesis_fields(expected)
