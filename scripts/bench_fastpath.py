@@ -14,7 +14,12 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
 - longest-path passes and table builds per call, counted in a separate
   untimed sweep by wrapping ``decoders._longest_path`` (absent at a parent
   without it: reported as null) and ``decoders.build_viterbi_table``;
-- acceptance criterion 7's ratio, measured as that test measures it.
+- acceptance criterion 7's ratio, measured as that test measures it;
+- whether the compiled forward pass (``dagdecode._cpass``) was in use
+  (null at a parent without it).
+
+The compiled pass is built, or found in its cache, during the warm-up, so
+no timed call pays for the compiler.
 
 Runs are sequential and single-threaded; every input is generated in the
 child from its seed.
@@ -50,8 +55,14 @@ def measure(src: str, reps: int) -> dict:
         )
         for k in range(8)
     ]
-    for strategy in STRATEGIES:  # warm-up: imports, first calls
+    for strategy in STRATEGIES:  # warm-up: imports, first calls, the compiled pass
         decoders.decode(instances[0], strategy, 1.0)
+    try:
+        from dagdecode import _cpass
+    except ImportError:
+        compiled_pass = None
+    else:
+        compiled_pass = _cpass.load() is not None
 
     times = {}
     for beta in BETAS:
@@ -98,6 +109,7 @@ def measure(src: str, reps: int) -> dict:
     ]
     timings = dagdecode.benchmark(criterion7, ["greedy", "joint-viterbi"], repetitions=3, beta=1.0)
     return {
+        "compiled_pass": compiled_pass,
         "decode": times,
         "work": work,
         "criterion7_ratio": timings["joint-viterbi"].ratio_vs_baseline,
@@ -122,6 +134,7 @@ def summarize(runs: list[dict]) -> dict:
 
     keys = runs[0]["decode"]
     return {
+        "compiled_pass": [r["compiled_pass"] for r in runs],
         "decode_ms": {
             k: {
                 "median": med([r["decode"][k]["median_ms"] for r in runs]),

@@ -18,6 +18,13 @@ the table's. Any other ``beta``, and every caller that reads every length
 (``table_decode``, ``decode_all_lengths``, the CLI ``decode``, analysis'
 optimum column), builds the O(L^3) table.
 
+Each pass's forward half runs as a small C function (``_cpass``), compiled
+with ``cc`` on the first such decode, never at import, and cached in
+``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). It fills
+the same values bit for bit as the numpy pass. Where it cannot be compiled
+or loaded, the process silently keeps the numpy pass. The backtrace and
+its certificate are numpy in both cases.
+
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection
 prefers the larger length, and token argmaxes prefer the smallest id.
@@ -30,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scoring
+from . import _cpass, scoring
 from .errors import (
     DeadEndError,
     InfeasibleLengthError,
+    InstanceValidationError,
     UnreachableTerminalError,
 )
 from .lattice import DecodingPath, Hypothesis, Instance, later_hops
@@ -98,7 +106,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     the next pass, keeping the terminal entry as that length's score.
     Positions earlier than the prefix length are unreachable, and only hops
     to strictly later positions are read. The predecessor argmax takes the
-    first (smallest) position on ties.
+    first (smallest) position on ties. A ``+inf`` later hop, or in JOINT
+    mode a ``+inf`` emission, raises ``InstanceValidationError`` naming the
+    first such cell (transitions first), before any pass.
     """
     L = instance.L
     alpha = np.full(L, LOG_ZERO)
@@ -109,7 +119,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
     # A copy, not a view: JOINT mode adds to it in place.
     weights_t = later_hops(instance).T.copy()
+    _reject_posinf("log_transitions", weights_t.T)
     if mode is TableMode.JOINT:
+        _reject_posinf("log_emissions", instance.log_emissions)
         best_emission = instance.log_emissions.max(axis=1)
         weights_t += best_emission[:, None]
         prev[0] = best_emission[0]
@@ -235,6 +247,14 @@ def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hyp
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def _reject_posinf(name: str, table: np.ndarray) -> None:
+    """Raise ``InstanceValidationError`` naming ``table``'s first ``+inf`` cell, if any."""
+    cells = np.argwhere(np.isposinf(table))
+    if cells.size:
+        i, j = cells[0]
+        raise InstanceValidationError([f"{name}[{i}][{j}] is +inf"])
+
+
 def _walk(instance: Instance, bonus) -> tuple[int, ...]:
     """From position 1, step to the successor maximizing transition + ``bonus`` until L."""
     L = instance.L
@@ -269,18 +289,23 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     pass charges every hop ``lam``, ``lam`` starts at the mean of the path
     the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
     mean of each pass's path until the path repeats. None (build the table)
-    when the answer cannot be certified: a NaN or ``+inf`` weight, an
-    unreachable terminal, a walk that dead-ends, a mean that stops rising,
-    or a near-tie on the last pass.
+    when the answer cannot be certified: a NaN or ``+inf`` weight on a hop a
+    path can take, an unreachable terminal, a walk that dead-ends, a mean
+    that stops rising, or a near-tie on the last pass.
     """
     weights, start, bonus = instance.log_transitions, 0.0, 0.0
     if mode is TableMode.JOINT:
         bonus = instance.log_emissions.max(axis=1)
         weights = weights + bonus
         start = bonus[0]
-    # max() is NaN if any entry is.
-    if not (start < np.inf and weights.max() < np.inf):
+    if not start < np.inf:
         return None
+    # max() is NaN if any entry is. Only then are the hops no path takes
+    # masked, and the hops a path can take checked again.
+    if not weights.max() < np.inf:
+        weights = later_hops(instance) + bonus
+        if not weights.max() < np.inf:
+            return None
     path, lam = None, 0.0
     if beta == 1:
         try:
@@ -312,8 +337,9 @@ def _longest_path(weights: np.ndarray, start: float, lam: float):
     """Best path from position 1 to L when every hop costs ``lam``, and its certificate.
 
     Returns ``(path, certified)``, or ``(None, False)`` if L is unreachable or
-    a value overflows. Values come first, in one forward pass; the backtrace
-    then recomputes each path position's candidates with the same arithmetic
+    a value overflows. Values come first, in one forward pass (``_forward``,
+    compiled or numpy, the same values bit for bit); the backtrace then
+    recomputes each path position's candidates with the same arithmetic
     and takes the smallest predecessor that attains the value exactly, as the
     table's backpointers do. ``certified`` holds when at every path position
     exactly one candidate lies within a rounding margin of the best: then no
@@ -323,11 +349,7 @@ def _longest_path(weights: np.ndarray, start: float, lam: float):
     L = len(weights)
     f = np.full(L, LOG_ZERO)
     f[0] = start
-    for t in range(L - 1):
-        ft = f.item(t)
-        if ft > LOG_ZERO:
-            tail = f[t + 1 :]
-            np.maximum(tail, weights[t, t + 1 :] + (ft - lam), out=tail)
+    _forward(weights, f, lam)
     if not (f[-1] > LOG_ZERO and (f < np.inf).all()):
         return None, False
     # Worst-case rounding of an L-hop sum, widened by up to L/len for a mean.
@@ -344,3 +366,17 @@ def _longest_path(weights: np.ndarray, start: float, lam: float):
         path.append(u + 1)
     path.reverse()
     return tuple(path), certified
+
+
+def _numpy_forward(weights: np.ndarray, f: np.ndarray, lam: float) -> None:
+    """The forward pass in place: from each reachable t in turn, relax every later position."""
+    for t in range(len(f) - 1):
+        ft = f.item(t)
+        if ft > LOG_ZERO:
+            tail = f[t + 1 :]
+            np.maximum(tail, weights[t, t + 1 :] + (ft - lam), out=tail)
+
+
+def _forward(weights: np.ndarray, f: np.ndarray, lam: float) -> None:
+    """The compiled forward pass if it loads (see ``_cpass``), else ``_numpy_forward``."""
+    (_cpass.load() or _numpy_forward)(weights, f, lam)

@@ -25,6 +25,18 @@ I4_TRANSITIONS = [
 I4_EMISSIONS = [[0.9, 0.1], [0.4, 0.6], [0.8, 0.2], [0.3, 0.7]]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_home(tmp_path_factory):
+    """Point ``XDG_CACHE_HOME`` at a fresh directory for the whole run.
+
+    So the suite writes nothing under ``~``, and its first fast-path decode
+    compiles the C forward pass from cold.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def i2() -> Instance:
     return Instance.from_probs(I2_TRANSITIONS, I2_EMISSIONS)
@@ -53,12 +65,15 @@ def table_builds(monkeypatch) -> list:
     return builds
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter on ``args`` that imports this package; failed (killed) after 60 s."""
+def run_python(*args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` that imports this package; failed (killed) after 60 s.
+
+    Keyword arguments are set in its environment, over this process's.
+    """
     src = str(Path(decoders.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, timeout=60,
     )
 
 

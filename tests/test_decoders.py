@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import shutil
+import stat
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from dagdecode import (
     DeadEndError,
     InfeasibleLengthError,
     Instance,
+    InstanceValidationError,
     PathShapeError,
     TableMode,
     UnreachableTerminalError,
@@ -24,10 +29,12 @@ from dagdecode import (
     joint_viterbi_decode,
     lookahead_decode,
     path_log_prob,
+    save_instance,
     select_length,
     table_decode,
     viterbi_decode,
 )
+from dagdecode import _cpass, decoders
 from dagdecode.decoders import TABLE_MODES
 from dagdecode.logmath import LOG_ZERO
 
@@ -434,24 +441,55 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+_TRANSITION_CELLS = {
+    "nan": {(0, 1): math.nan},
+    "posinf": {(1, 3): math.inf},
+    # Above every later hop, but no path stays at 3 or goes from 4 back to 3.
+    "diagonal": {(2, 2): 1.0},
+    "below-diagonal": {(3, 2): 5.0},
+    "nan-diagonal": {(2, 2): math.nan},
+    "posinf-below-diagonal": {(2, 1): math.inf},
+    "unreachable": {(t, 3): LOG_ZERO for t in range(4)},
+    "posinf-both": {(1, 3): math.inf},
+}
+_EMISSION_CELLS = {
+    "nan-emission": {(2, 0): math.nan},
+    "posinf-emission": {(2, 1): math.inf},
+    "posinf-both": {(2, 1): math.inf},
+}
+
+
 def _unvalidated_i4(case: str) -> Instance:
-    i4 = Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS)
-    if case == "nan-emission":
-        emis = i4.log_emissions.copy()
-        emis[2, 0] = math.nan
-        return Instance(L=4, V=2, log_transitions=i4.log_transitions, log_emissions=emis)
-    cells = {
-        "nan": {(0, 1): math.nan},
-        "posinf": {(1, 3): math.inf},
-        # Above every later hop, but no path stays at 3 or goes from 4 back to 3.
-        "diagonal": {(2, 2): 1.0},
-        "below-diagonal": {(3, 2): 5.0},
-        "unreachable": {(t, 3): LOG_ZERO for t in range(4)},
-    }[case]
-    return with_transitions(i4, cells)
+    assert case in _TRANSITION_CELLS or case in _EMISSION_CELLS
+    inst = with_transitions(
+        Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS), _TRANSITION_CELLS.get(case, {})
+    )
+    emis = inst.log_emissions.copy()
+    for cell, value in _EMISSION_CELLS.get(case, {}).items():
+        emis[cell] = value
+    return Instance(L=4, V=2, log_transitions=inst.log_transitions, log_emissions=emis)
 
 
 STRATEGY_MODES = sorted(TABLE_MODES.items())
+
+
+def _compiled_or_skip():
+    """The compiled forward pass; it must load wherever ``cc`` is found."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    compiled = _cpass.load()
+    assert compiled is not None
+    return compiled
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def forward_pass(request, monkeypatch):
+    """Run the test once with each forward pass behind ``decoders._longest_path``."""
+    if request.param == "compiled":
+        monkeypatch.setattr(decoders, "_forward", _compiled_or_skip())
+    else:
+        monkeypatch.setattr(decoders, "_forward", decoders._numpy_forward)
+    return request.param
 
 
 class TestLongestPathRoute:
@@ -465,13 +503,20 @@ class TestLongestPathRoute:
                 assert hypothesis_fields(decode(inst, strategy, beta)) == expected
 
     @pytest.mark.parametrize("L", [256, 512])
-    def test_agrees_with_table_on_large_lattices(self, L):
+    def test_agrees_with_table_on_large_lattices(self, forward_pass, L):
         self.assert_agrees_with_table(random_instance(L, L=L, V=8))
         self.assert_agrees_with_table(random_instance(L + 1, L=L, V=8, sparsity=0.3))
 
-    def test_agrees_with_table_on_suite(self, suite_500):
+    def test_agrees_with_table_on_suite(self, forward_pass, suite_500):
         for inst in suite_500:
             self.assert_agrees_with_table(inst)
+
+    @pytest.mark.parametrize("twin_rows", [True, False])
+    def test_agrees_with_table_on_funnels(self, forward_pass, twin_rows):
+        # Forced ties in predecessor (twin rows) or in length (a free extra hop).
+        for seed in range(8):
+            inst = random_instance(seed, L=8 + seed, V=3)
+            self.assert_agrees_with_table(funnel(inst, 1 + seed % 4, twin_rows))
 
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -486,7 +531,7 @@ class TestLongestPathRoute:
 
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
-    def test_exact_tie_builds_the_table(self, table_builds, strategy, beta):
+    def test_exact_tie_builds_the_table(self, forward_pass, table_builds, strategy, beta):
         # Every best path has an equal-scoring twin, so no pass can certify it.
         inst = funnel(random_instance(11, L=8, V=3), 3, twin_rows=True)
         hyp = decode(inst, strategy, beta)
@@ -494,9 +539,7 @@ class TestLongestPathRoute:
         expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
         assert hypothesis_fields(hyp) == hypothesis_fields(expected)
 
-    @pytest.mark.parametrize(
-        "case", ["nan", "nan-emission", "posinf", "diagonal", "below-diagonal", "unreachable"]
-    )
+    @pytest.mark.parametrize("case", sorted({*_TRANSITION_CELLS, *_EMISSION_CELLS}))
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_unvalidated_input_decodes_as_table(self, case, strategy, beta):
@@ -506,13 +549,32 @@ class TestLongestPathRoute:
             lambda: table_decode(inst, mode, beta)[0]
         )
 
-    @pytest.mark.parametrize("case", ["diagonal", "below-diagonal"])
+    @pytest.mark.parametrize(
+        "case", ["diagonal", "below-diagonal", "nan-diagonal", "posinf-below-diagonal"]
+    )
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_entries_not_later_build_no_table(self, table_builds, case, strategy, beta):
         # The passes read only later hops, as the table does, so nothing falls back.
         decode(_unvalidated_i4(case), strategy, beta)
         assert table_builds == []
+
+    @pytest.mark.parametrize(
+        "case, strategy, cell",
+        [
+            ("posinf", "viterbi", "log_transitions[1][3]"),
+            ("posinf", "joint-viterbi", "log_transitions[1][3]"),
+            ("posinf-emission", "joint-viterbi", "log_emissions[2][1]"),
+            ("posinf-both", "joint-viterbi", "log_transitions[1][3]"),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_posinf_raises_naming_its_cell(self, case, strategy, cell, beta):
+        # Paths exist, so this is bad input, not an unreachable terminal.
+        inst = _unvalidated_i4(case)
+        expected = (InstanceValidationError, f"instance failed validation: {cell} is +inf")
+        assert _outcome(lambda: table_decode(inst, TABLE_MODES[strategy], beta)[0]) == expected
+        assert _outcome(lambda: decode(inst, strategy, beta)) == expected
 
     @pytest.mark.parametrize("beta", [math.nan, -1.0])
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
@@ -521,3 +583,133 @@ class TestLongestPathRoute:
         expected = _outcome(lambda: table_decode(i4, mode, beta)[0])
         assert expected[0] is ValueError
         assert _outcome(lambda: decode(i4, strategy, beta)) == expected
+
+
+@pytest.fixture
+def fresh_cpass(monkeypatch, tmp_path):
+    """Reset ``_cpass`` to a new process's state, with an empty cache; its cache directory."""
+    monkeypatch.setattr(_cpass, "_pass", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "dagdecode"
+
+
+def _huge_weights(L: int, seed: int) -> np.ndarray:
+    """Later hops of 1e307 and more, some -inf: long paths overflow to +inf, then NaN."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(1e307, 1.7e308, (L, L))
+    weights[rng.random((L, L)) < 0.2] = LOG_ZERO
+    return np.where(np.tri(L, dtype=bool), LOG_ZERO, weights)
+
+
+class TestForwardPasses:
+    """The compiled forward pass fills what the numpy pass fills; without it, numpy runs."""
+
+    def test_compiles_where_a_compiler_is_found(self):
+        _compiled_or_skip()
+
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_fill_identical_bytes(self, mode):
+        compiled = _compiled_or_skip()
+        cases = []
+        for seed in range(12):
+            L = (2, 7, 64, 256)[seed % 4]
+            inst = random_instance(seed, L=L, V=8, sparsity=0.5 if seed % 3 == 0 else 0.0)
+            if seed % 2 and L > 2:  # a position no path reaches, so its row is skipped
+                inst = with_transitions(inst, {(t, L // 2): LOG_ZERO for t in range(L)})
+            weights, start = inst.log_transitions, 0.0
+            if mode is TableMode.JOINT:
+                best = inst.log_emissions.max(axis=1)
+                weights, start = weights + best, best[0]
+            cases.append((weights, start))
+        cases += [(_huge_weights(L, L), 0.0) for L in (3, 17, 64)]
+        for weights, start in cases:
+            for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
+                f = {}
+                for name, fill in (("numpy", decoders._numpy_forward), ("compiled", compiled)):
+                    f[name] = np.full(len(weights), LOG_ZERO)
+                    f[name][0] = start
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        fill(weights, f[name], lam)
+                assert f["compiled"].tobytes() == f["numpy"].tobytes()
+
+    @pytest.mark.parametrize("L", [17, 64])
+    def test_overflow_gives_no_path(self, forward_pass, L):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert decoders._longest_path(_huge_weights(L, L), 0.0, 0.0) == (None, False)
+
+    @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache"])
+    def test_falls_back_to_numpy_once(self, fresh_cpass, monkeypatch, tmp_path, failure):
+        if failure == "no-compiler":
+            monkeypatch.setattr(shutil, "which", lambda name: None)
+        elif failure == "compile-error":
+            monkeypatch.setattr(_cpass, "SOURCE", "this is not C")
+        else:
+            blocker = tmp_path / "not-a-directory"
+            blocker.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        attempts = []
+        library = _cpass._library
+        monkeypatch.setattr(_cpass, "_library", lambda: attempts.append(1) or library())
+        for seed in range(4):
+            inst = random_instance(seed, L=32, V=4, sparsity=0.3 if seed % 2 else 0.0)
+            for strategy, mode in STRATEGY_MODES:
+                for beta in (0.0, 1.0):
+                    expected = hypothesis_fields(table_decode(inst, mode, beta)[0])
+                    assert hypothesis_fields(decode(inst, strategy, beta)) == expected
+        assert _cpass.load() is None
+        assert attempts == [1]  # no retry in the same process
+        assert not fresh_cpass.exists() or not any(fresh_cpass.glob("*.tmp"))
+
+    def test_concurrent_first_calls_compile_once(self, fresh_cpass, monkeypatch):
+        attempts = []
+        library = _cpass._library
+        monkeypatch.setattr(_cpass, "_library", lambda: attempts.append(1) or library())
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            loaded = [f.result(timeout=60) for f in [pool.submit(_cpass.load) for _ in range(6)]]
+        assert attempts == [1]
+        assert all(fn is loaded[0] for fn in loaded)
+
+    def test_cache_holds_one_private_complete_library(self, fresh_cpass, monkeypatch):
+        _compiled_or_skip()
+        assert stat.S_IMODE(fresh_cpass.stat().st_mode) == 0o700
+        [lib] = fresh_cpass.iterdir()
+        assert lib.suffix == ".so"
+        # A new process loads it without a compiler.
+        monkeypatch.setattr(_cpass, "_pass", None)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert _cpass.load() is not None
+
+    def test_refuses_a_cache_others_can_write(self, fresh_cpass):
+        fresh_cpass.mkdir(parents=True)
+        fresh_cpass.chmod(0o777)
+        assert _cpass.load() is None
+        assert list(fresh_cpass.iterdir()) == []
+
+    def test_import_and_cli_decode_never_compile(self, tmp_path, i4):
+        # A stand-in compiler that only leaves a mark, first on PATH.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text('#!/bin/sh\ntouch "$0.ran"\nexit 1\n')
+        cc.chmod(0o755)
+        cache = tmp_path / "cache"
+        env = {"XDG_CACHE_HOME": str(cache), "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}"}
+        path = tmp_path / "I4.json"
+        save_instance(i4, path)
+        assert run_python("-c", "import dagdecode", **env).returncode == 0
+        for args in (["--strategy", "joint-viterbi"], ["--strategy", "viterbi", "--beta", "0"]):
+            proc = run_python("-m", "dagdecode.cli", "decode", *args, "--input", str(path), **env)
+            assert proc.returncode == 0, proc.stderr
+        assert not cache.exists()
+        assert not (bin_dir / "cc.ran").exists()
+        # A library decode at beta 1 does try to compile, and decodes with numpy.
+        code = (
+            "import sys, dagdecode\n"
+            "inst = dagdecode.parse_instance(open(sys.argv[1]).read())\n"
+            "print(dagdecode.decode(inst, 'viterbi', 1.0).path.positions)"
+        )
+        proc = run_python("-c", code, str(path), **env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(1, 2, 3, 4)"
+        assert (bin_dir / "cc.ran").exists()
+        assert (cache / "dagdecode").is_dir()
