@@ -6,11 +6,11 @@ C compiler (``cc``) and ``FLAGS``: no fast-math, no contraction, so the
 pass does numpy's float operations in numpy's order and fills ``f`` bit
 for bit as ``decoders._numpy_forward`` does. The cache is
 ``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``, mode 0700);
-the file name is keyed by the sha256 of the source, the flags and the
-machine, and the file is moved into place only once complete. If anything
-fails (no compiler, a compile error, an unwritable or shared cache
-directory, a load error), ``load()`` returns None from then on and the
-caller keeps the numpy pass; it does not try again in the same process.
+the file name is keyed by the CRC-32 of the source, the flags and the
+machine (``zlib`` is loaded already; ``hashlib`` would load OpenSSL), and
+the file is moved into place only once complete. If anything fails (no
+compiler, a compile error, an unwritable or shared cache directory, a load
+error), ``load()`` returns None from then on and the caller keeps the numpy pass; it does not try again in the same process.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import platform
 import shutil
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -71,16 +72,15 @@ def load():
 
 def _library() -> Path:
     """The cached shared library, compiled into place first if it is missing."""
-    import hashlib
     import subprocess
 
-    key = hashlib.sha256("\0".join([SOURCE, *FLAGS, platform.machine()]).encode())
+    key = zlib.crc32("\0".join([SOURCE, *FLAGS, platform.machine()]).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dagdecode"
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
     stat = cache.stat()
     if stat.st_uid != os.getuid() or stat.st_mode & 0o022:
         raise PermissionError(f"{cache} is not private to this user")
-    lib = cache / f"forward-{key.hexdigest()[:16]}.so"
+    lib = cache / f"forward-{key:08x}.so"
     if not lib.exists():
         cc = shutil.which("cc")
         if cc is None:

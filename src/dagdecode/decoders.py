@@ -12,11 +12,11 @@ Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
 ``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
 with O(L^2) longest-path passes over the DAG (one pass at 0; Dinkelbach's
 parametric method for the per-token mean at 1) and no table. The answer is
-certified on the last pass; on a near-tie, or on input the passes do not
-model, they build the table instead, so results, tie rules and errors are
-the table's. Any other ``beta``, and every caller that reads every length
-(``table_decode``, ``decode_all_lengths``, the CLI ``decode``, analysis'
-optimum column), builds the O(L^3) table.
+certified on the last pass; on a near-tie, or where a JOINT weight
+overflows to ``+inf``, they build the table instead, so results, tie rules
+and errors are the table's. Any other ``beta``, and every caller that reads
+every length (``table_decode``, ``decode_all_lengths``, the CLI ``decode``,
+analysis' optimum column), builds the O(L^3) table.
 
 Each pass's forward half runs as a small C function (``_cpass``), compiled
 with ``cc`` on the first such decode, never at import, and cached in
@@ -38,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cpass, scoring
-from .errors import (
-    DeadEndError,
-    InfeasibleLengthError,
-    InstanceValidationError,
-    UnreachableTerminalError,
-)
+from .errors import DeadEndError, InfeasibleLengthError, UnreachableTerminalError
 from .lattice import DecodingPath, Hypothesis, Instance, later_hops
 from .logmath import LOG_ZERO
 
@@ -106,9 +101,7 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     the next pass, keeping the terminal entry as that length's score.
     Positions earlier than the prefix length are unreachable, and only hops
     to strictly later positions are read. The predecessor argmax takes the
-    first (smallest) position on ties. A ``+inf`` later hop, or in JOINT
-    mode a ``+inf`` emission, raises ``InstanceValidationError`` naming the
-    first such cell (transitions first), before any pass.
+    first (smallest) position on ties.
     """
     L = instance.L
     alpha = np.full(L, LOG_ZERO)
@@ -119,9 +112,7 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
     # A copy, not a view: JOINT mode adds to it in place.
     weights_t = later_hops(instance).T.copy()
-    _reject_posinf("log_transitions", weights_t.T)
     if mode is TableMode.JOINT:
-        _reject_posinf("log_emissions", instance.log_emissions)
         best_emission = instance.log_emissions.max(axis=1)
         weights_t += best_emission[:, None]
         prev[0] = best_emission[0]
@@ -247,14 +238,6 @@ def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hyp
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _reject_posinf(name: str, table: np.ndarray) -> None:
-    """Raise ``InstanceValidationError`` naming ``table``'s first ``+inf`` cell, if any."""
-    cells = np.argwhere(np.isposinf(table))
-    if cells.size:
-        i, j = cells[0]
-        raise InstanceValidationError([f"{name}[{i}][{j}] is +inf"])
-
-
 def _walk(instance: Instance, bonus) -> tuple[int, ...]:
     """From position 1, step to the successor maximizing transition + ``bonus`` until L."""
     L = instance.L
@@ -289,21 +272,17 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     pass charges every hop ``lam``, ``lam`` starts at the mean of the path
     the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
     mean of each pass's path until the path repeats. None (build the table)
-    when the answer cannot be certified: a NaN or ``+inf`` weight on a hop a
-    path can take, an unreachable terminal, a walk that dead-ends, a mean
-    that stops rising, or a near-tie on the last pass.
+    when the answer cannot be certified: a JOINT weight (a transition plus
+    a best emission) that overflows to ``+inf``, an unreachable terminal, a
+    walk that dead-ends, a mean that stops rising, or a near-tie on the last
+    pass.
     """
     weights, start, bonus = instance.log_transitions, 0.0, 0.0
     if mode is TableMode.JOINT:
         bonus = instance.log_emissions.max(axis=1)
         weights = weights + bonus
         start = bonus[0]
-    if not start < np.inf:
-        return None
-    # max() is NaN if any entry is. Only then are the hops no path takes
-    # masked, and the hops a path can take checked again.
-    if not weights.max() < np.inf:
-        weights = later_hops(instance) + bonus
+        # The instance holds no NaN or +inf, but a sum of two finite scores can overflow.
         if not weights.max() < np.inf:
             return None
     path, lam = None, 0.0

@@ -2,8 +2,10 @@
 
 A lattice instance is a pair of log-probability tables over ``L`` decoder
 positions: an upper-triangular transition table between positions and a
-per-position emission table over ``V`` vocabulary tokens. Positions are
-1-based everywhere a human sees them; array indexing is 0-based.
+per-position emission table over ``V`` vocabulary tokens. Neither table
+holds NaN or ``+inf``: an instance refuses them when it is built, so no
+decoder, score or check downstream meets one. Positions are 1-based
+everywhere a human sees them; array indexing is 0-based.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class Instance:
         Display strings for the V token ids.
     meta : mapping, optional
         Free-form provenance carried through serialization.
+
+    Raises ``InstanceValidationError`` naming the first NaN or ``+inf``
+    cell, 0-based in row-major order, transitions first. Any other value,
+    ``-inf`` included, is accepted here; :func:`validate` checks the rest.
     """
 
     L: int
@@ -64,6 +70,11 @@ class Instance:
             raise ShapeError(
                 f"log_emissions has shape {emis.shape}, expected {(self.L, self.V)}"
             )
+        for name, table in (("log_transitions", trans), ("log_emissions", emis)):
+            if not table.max() < np.inf:  # one reduction; NaN fails it too
+                i, j = np.argwhere(np.isnan(table) | np.isposinf(table))[0]
+                kind = "NaN" if np.isnan(table[i, j]) else "+inf"
+                raise InstanceValidationError([f"{name}[{i}][{j}] is {kind}"])
         trans.setflags(write=False)
         emis.setflags(write=False)
         object.__setattr__(self, "log_transitions", trans)
@@ -206,18 +217,12 @@ def validate(instance: Instance) -> list[str]:
     ``-inf`` (a finite one is reported, and every decoder and score ignores
     it), at least one successor is reachable, and the successor mass
     normalizes to 1 within ``NORMALIZATION_TOL`` (in log space). Row L must
-    be entirely ``-inf``, and every emission row must normalize. A table
-    holding NaN is reported by its first NaN entry, 0-based as in the file.
+    be entirely ``-inf``, and every emission row must normalize. NaN and
+    ``+inf`` never get this far: :class:`Instance` refuses them.
     """
     violations: list[str] = []
     L = instance.L
     trans = instance.log_transitions
-
-    for name, table in (("log_transitions", trans), ("log_emissions", instance.log_emissions)):
-        nan = np.argwhere(np.isnan(table))
-        if nan.size:
-            i, j = nan[0]
-            violations.append(f"{name}[{i}][{j}] is NaN")
 
     for t in range(L):
         row = trans[t]

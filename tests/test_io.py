@@ -91,6 +91,20 @@ class TestParseErrors:
         with pytest.raises(InstanceFormatError, match=rf"{table}\[{i}\]\[{j}\] must be"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "table, where", [("log_transitions", (0, 1)), ("log_emissions", (1, 0))]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run_validation", [True, False])
+    def test_non_finite_literal_named(self, i2, table, where, value, run_validation):
+        # json.dumps writes NaN, Infinity and -Infinity, and json.loads reads
+        # them back; a file writes -inf as null, and holds no NaN or +inf.
+        doc = instance_to_dict(i2)
+        doc[table][where[0]][where[1]] = value
+        i, j = where
+        with pytest.raises(InstanceFormatError, match=rf"{table}\[{i}\]\[{j}\] must be"):
+            parse_instance(json.dumps(doc), run_validation=run_validation)
+
     def test_non_numeric_entry(self, i2):
         doc = instance_to_dict(i2)
         doc["log_emissions"][0][0] = "-inf"

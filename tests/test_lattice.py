@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagdecode import (
@@ -18,7 +18,7 @@ from dagdecode import (
 from dagdecode.lattice import check_tokens
 from dagdecode.logmath import LOG_ZERO
 
-from conftest import I2_EMISSIONS, I2_TRANSITIONS, random_batch
+from conftest import I2_EMISSIONS, I2_TRANSITIONS, random_batch, random_instance
 
 
 class TestInstance:
@@ -84,13 +84,40 @@ class TestInstance:
         [("log_transitions", (0, 2)), ("log_transitions", (2, 0)), ("log_emissions", (1, 0))],
     )
     def test_nan_entry_named(self, i4, table, where):
+        # Refused at construction, so validate and the decoders never see it.
         tables = {
             "log_transitions": np.array(i4.log_transitions),
             "log_emissions": np.array(i4.log_emissions),
         }
         tables[table][where] = math.nan
-        broken = Instance(L=4, V=2, **tables)
-        assert f"{table}[{where[0]}][{where[1]}] is NaN" in validate(broken)
+        message = f"instance failed validation: {table}[{where[0]}][{where[1]}] is NaN"
+        with pytest.raises(InstanceValidationError) as caught:
+            Instance(L=4, V=2, **tables)
+        assert str(caught.value) == message
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_non_finite_cell_refused_naming_the_first(self, data):
+        inst = random_instance(
+            data.draw(st.integers(0, 2**32 - 1)), L=data.draw(st.integers(1, 7)),
+            V=data.draw(st.integers(1, 4)), sparsity=data.draw(st.floats(0.0, 0.5)),
+        )
+        names = ("log_transitions", "log_emissions")
+        tables = [np.array(inst.log_transitions), np.array(inst.log_emissions)]
+        bad = {}
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, 1))
+            rows, cols = tables[k].shape
+            cell = (k, data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+            bad[cell] = data.draw(st.sampled_from([math.nan, math.inf]))
+        for (k, i, j), value in bad.items():
+            tables[k][i, j] = value
+        # Transitions first, then cells in row-major order.
+        k, i, j = min(bad)
+        kind = "NaN" if math.isnan(bad[k, i, j]) else "+inf"
+        with pytest.raises(InstanceValidationError) as caught:
+            Instance(L=inst.L, V=inst.V, log_transitions=tables[0], log_emissions=tables[1])
+        assert str(caught.value) == f"instance failed validation: {names[k]}[{i}][{j}] is {kind}"
 
     def test_tables_are_frozen(self, i2):
         with pytest.raises(ValueError):
@@ -124,6 +151,15 @@ class TestInstance:
         message = f"{table}: probabilities must not be NaN"
         with pytest.raises(InstanceValidationError, match=message):
             Instance.from_probs(**tables)
+
+    @pytest.mark.parametrize("table", ["transitions", "emissions"])
+    def test_infinite_probability_names_its_cell(self, table):
+        tables = {"transitions": np.array(I2_TRANSITIONS), "emissions": np.array(I2_EMISSIONS)}
+        tables[table][0, 1] = math.inf
+        message = f"instance failed validation: log_{table}[0][1] is +inf"
+        with pytest.raises(InstanceValidationError) as caught:
+            Instance.from_probs(**tables)
+        assert str(caught.value) == message
 
     def test_vocab_length_checked(self):
         with pytest.raises(ShapeError):
