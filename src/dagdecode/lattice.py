@@ -72,7 +72,7 @@ class Instance:
             )
         for name, table in (("log_transitions", trans), ("log_emissions", emis)):
             if not table.max() < np.inf:  # one reduction; NaN fails it too
-                i, j = np.argwhere(np.isnan(table) | np.isposinf(table))[0]
+                i, j = np.argwhere(~(table < np.inf))[0]
                 kind = "NaN" if np.isnan(table[i, j]) else "+inf"
                 raise InstanceValidationError([f"{name}[{i}][{j}] is {kind}"])
         trans.setflags(write=False)
