@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import shutil
 import stat
 from concurrent.futures import ThreadPoolExecutor
@@ -471,8 +472,6 @@ _REFUSED_CELL = {
     "nan-emission": "log_emissions[2][0] is NaN",
     "posinf-emission": "log_emissions[2][1] is +inf",
 }
-#: The cases an instance holds: every value finite or -inf.
-_FINITE_CASES = sorted({*_TRANSITION_CELLS, *_EMISSION_CELLS} - _REFUSED_CELL.keys())
 
 
 def _unvalidated_i4(case: str) -> Instance:
@@ -555,33 +554,54 @@ class TestLongestPathRoute:
         expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
         assert hypothesis_fields(hyp) == hypothesis_fields(expected)
 
-    @pytest.mark.parametrize("case", _FINITE_CASES)
+    @pytest.mark.parametrize("case", sorted({*_TRANSITION_CELLS, *_EMISSION_CELLS}))
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_unvalidated_input_decodes_as_table(self, case, strategy, beta):
-        inst = _unvalidated_i4(case)
         mode = TABLE_MODES[strategy]
         # Only the overflow cases overflow (then meet -inf), on purpose; no other may warn.
         quiet = "ignore" if case.startswith("overflow") else "warn"
         with np.errstate(over=quiet, invalid=quiet):
-            expected = _outcome(lambda: table_decode(inst, mode, beta)[0])
-            assert _outcome(lambda: decode(inst, strategy, beta)) == expected
+            expected = _outcome(lambda: table_decode(_unvalidated_i4(case), mode, beta)[0])
+            assert _outcome(lambda: decode(_unvalidated_i4(case), strategy, beta)) == expected
+        if case in _REFUSED_CELL:
+            # Refused before any decoder runs: paths exist, so no decoder may
+            # answer, or call the terminal unreachable.
+            message = f"instance failed validation: {_REFUSED_CELL[case]}"
+            assert expected == (InstanceValidationError, message)
 
-    @pytest.mark.parametrize("case", ["diagonal", "below-diagonal"])
+    @pytest.mark.parametrize(
+        "case", ["diagonal", "below-diagonal", "nan-diagonal", "posinf-below-diagonal"]
+    )
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_entries_not_later_build_no_table(self, table_builds, case, strategy, beta):
-        # The passes read only later hops, as the table does, so nothing falls back.
-        decode(_unvalidated_i4(case), strategy, beta)
+        # The passes read only later hops, as the table does, so nothing falls
+        # back; a NaN or +inf there is refused before any decoder runs.
+        if case in _REFUSED_CELL:
+            with pytest.raises(InstanceValidationError, match=re.escape(_REFUSED_CELL[case])):
+                decode(_unvalidated_i4(case), strategy, beta)
+        else:
+            decode(_unvalidated_i4(case), strategy, beta)
         assert table_builds == []
 
-    @pytest.mark.parametrize("case", sorted(_REFUSED_CELL))
-    def test_non_finite_raises_naming_its_cell(self, case):
-        # Refused before any decoder runs: paths exist, so no decoder may
-        # answer, or call the terminal unreachable.
-        with pytest.raises(InstanceValidationError) as caught:
-            _unvalidated_i4(case)
-        assert str(caught.value) == f"instance failed validation: {_REFUSED_CELL[case]}"
+    @pytest.mark.parametrize(
+        "case, strategy, cell",
+        [
+            ("posinf", "viterbi", "log_transitions[1][3]"),
+            ("posinf", "joint-viterbi", "log_transitions[1][3]"),
+            ("posinf-emission", "joint-viterbi", "log_emissions[2][1]"),
+            ("posinf-both", "joint-viterbi", "log_transitions[1][3]"),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_posinf_raises_naming_its_cell(self, case, strategy, cell, beta):
+        # Paths exist, so this is bad input, not an unreachable terminal; the
+        # instance refuses it before either decoder runs.
+        expected = (InstanceValidationError, f"instance failed validation: {cell} is +inf")
+        mode = TABLE_MODES[strategy]
+        assert _outcome(lambda: table_decode(_unvalidated_i4(case), mode, beta)[0]) == expected
+        assert _outcome(lambda: decode(_unvalidated_i4(case), strategy, beta)) == expected
 
     @pytest.mark.parametrize("beta", [math.nan, -1.0])
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
