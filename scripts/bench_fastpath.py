@@ -15,7 +15,7 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
   untimed sweep by wrapping ``decoders._longest_path`` (absent at a parent
   without it: reported as null) and ``decoders.build_viterbi_table``;
 - acceptance criterion 7's ratio, measured as that test measures it;
-- whether the compiled forward pass (``dagdecode._cpass``) was in use
+- whether the compiled pass (``dagdecode._cpass``) was in use
   (null at a parent without it).
 
 The compiled pass is built, or found in its cache, during the warm-up, so

@@ -12,18 +12,21 @@ Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
 ``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
 with O(L^2) longest-path passes over the DAG (one pass at 0; Dinkelbach's
 parametric method for the per-token mean at 1) and no table. The answer is
-certified on the last pass; on a near-tie, or where a JOINT weight
-overflows to ``+inf``, they build the table instead, so results, tie rules
+certified on the last pass; on a near-tie, or where a JOINT weight might
+overflow to ``+inf``, they build the table instead, so results, tie rules
 and errors are the table's. Any other ``beta``, and every caller that reads
 every length (``table_decode``, ``decode_all_lengths``, the CLI ``decode``,
-analysis' optimum column), builds the O(L^3) table.
+analysis' optimum column), builds the O(L^3) table. A JOINT table refuses a
+later hop whose weight overflows with ``InstanceValidationError``.
 
-Each pass's forward half runs as a small C function (``_cpass``), compiled
-with ``cc`` on the first such decode, never at import, and cached in
-``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). It fills
-the same values bit for bit as the numpy pass. Where it cannot be compiled
-or loaded, the process silently keeps the numpy pass. The backtrace and
-its certificate are numpy in both cases.
+Each pass is one call of a small C function (``_cpass``): the forward fill,
+the margin, the backtrace and the certificate, reading the transitions in
+place and adding the JOINT bonus per column, so no L x L weights array is
+made. It is compiled with ``cc`` on the first such decode, never at import,
+and cached in ``$XDG_CACHE_HOME/dagdecode`` (default
+``~/.cache/dagdecode``). It returns what the numpy pass (``_numpy_pass``)
+returns; where it cannot be compiled or loaded, the process silently runs
+the numpy pass.
 
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection
@@ -38,7 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cpass, scoring
-from .errors import DeadEndError, InfeasibleLengthError, UnreachableTerminalError
+from .errors import (
+    DeadEndError,
+    InfeasibleLengthError,
+    InstanceValidationError,
+    UnreachableTerminalError,
+)
 from .lattice import DecodingPath, Hypothesis, Instance, later_hops
 from .logmath import LOG_ZERO
 
@@ -101,7 +109,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     the next pass, keeping the terminal entry as that length's score.
     Positions earlier than the prefix length are unreachable, and only hops
     to strictly later positions are read. The predecessor argmax takes the
-    first (smallest) position on ties.
+    first (smallest) position on ties. In JOINT mode a later hop whose
+    weight overflows to ``+inf`` raises ``InstanceValidationError`` naming
+    the first such hop, in row-major order.
     """
     L = instance.L
     alpha = np.full(L, LOG_ZERO)
@@ -114,7 +124,16 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     weights_t = later_hops(instance).T.copy()
     if mode is TableMode.JOINT:
         best_emission = instance.log_emissions.max(axis=1)
-        weights_t += best_emission[:, None]
+        with np.errstate(over="ignore"):
+            weights_t += best_emission[:, None]
+        # The instance holds no NaN or +inf, but a sum of two finite scores can
+        # overflow; the passes would then add +inf to an unreachable -inf.
+        if not weights_t.max() < np.inf:
+            i, j = np.argwhere(weights_t.T == np.inf)[0]
+            raise InstanceValidationError(
+                [f"log_transitions[{i}][{j}] plus the best of log_emissions[{j}] "
+                 "overflows to +inf"]
+            )
         prev[0] = best_emission[0]
     alpha[0] = prev[-1]
     for i in range(1, L):
@@ -273,31 +292,32 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
     mean of each pass's path until the path repeats. None (build the table)
     when the answer cannot be certified: a JOINT weight (a transition plus
-    a best emission) that overflows to ``+inf``, an unreachable terminal, a
-    walk that dead-ends, a mean that stops rising, or a near-tie on the last
-    pass.
+    a best emission) that may overflow to ``+inf``, an unreachable terminal,
+    a walk that dead-ends, a mean that stops rising, or a near-tie on the
+    last pass.
     """
-    weights, start, bonus = instance.log_transitions, 0.0, 0.0
+    trans, bonus, start = instance.log_transitions, None, 0.0
     if mode is TableMode.JOINT:
         bonus = instance.log_emissions.max(axis=1)
-        weights = weights + bonus
         start = bonus[0]
-        # The instance holds no NaN or +inf, but a sum of two finite scores can overflow.
-        if not weights.max() < np.inf:
+        # The instance holds no NaN or +inf, but a sum of two finite scores can
+        # overflow, though never with a bonus <= 0. Python floats, so no warning.
+        top = float(bonus.max())
+        if top > 0 and not float(trans.max()) + top < np.inf:
             return None
     path, lam = None, 0.0
     if beta == 1:
         try:
-            path = _walk(instance, bonus)
+            path = _walk(instance, 0.0 if bonus is None else bonus)
         except DeadEndError:
             return None
-        lam = _mean_score(weights, start, path)
+        lam = _mean_score(trans, bonus, start, path)
     while True:
         previous = path
-        path, certified = _longest_path(weights, start, lam)
+        path, certified = _longest_path(trans, bonus, start, lam)
         if beta == 0 or path is None or path == previous:
             break
-        mean = _mean_score(weights, start, path)
+        mean = _mean_score(trans, bonus, start, path)
         if not mean > lam:
             return None
         lam = mean
@@ -306,29 +326,49 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     return argmax_hypothesis(instance, DecodingPath(path))
 
 
-def _mean_score(weights: np.ndarray, start: float, path: tuple[int, ...]) -> float:
+def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -> float:
     """A path's score (start plus hop weights) per position."""
     pos = np.asarray(path, dtype=np.intp) - 1
-    return float(start + weights[pos[:-1], pos[1:]].sum()) / len(path)
+    hops = trans[pos[:-1], pos[1:]]
+    if bonus is not None:
+        hops += bonus[pos[1:]]
+    return float(start + hops.sum()) / len(path)
 
 
-def _longest_path(weights: np.ndarray, start: float, lam: float):
+def _longest_path(trans: np.ndarray, bonus, start: float, lam: float):
     """Best path from position 1 to L when every hop costs ``lam``, and its certificate.
 
-    Returns ``(path, certified)``, or ``(None, False)`` if L is unreachable or
-    a value overflows. Values come first, in one forward pass (``_forward``,
-    compiled or numpy, the same values bit for bit); the backtrace then
-    recomputes each path position's candidates with the same arithmetic
-    and takes the smallest predecessor that attains the value exactly, as the
-    table's backpointers do. ``certified`` holds when at every path position
-    exactly one candidate lies within a rounding margin of the best: then no
-    other path of any length comes within rounding of this one, so the
-    table, whatever its summation order, ranks the same path first.
+    Hop t -> u weighs ``trans[t, u]``, plus ``bonus[u]`` unless ``bonus`` is
+    None (PATH), and the path starts from ``start``. Returns ``(path,
+    certified)``, or ``(None, False)`` if L is unreachable or a value
+    overflows. The one compiled call of ``_cpass`` runs the whole pass where
+    it loads; otherwise ``_numpy_pass`` does, with the same result.
     """
-    L = len(weights)
+    return (_cpass.load() or _numpy_pass)(trans, bonus, start, lam)
+
+
+def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
+    """``_longest_path`` in numpy: the fallback, and the compiled pass's reference.
+
+    Values come first, in one forward pass: from each reachable t in turn,
+    relax every later position, adding ``(trans[t, u] + bonus[u]) + (f[t] -
+    lam)`` in that order. The backtrace then recomputes each path position's
+    candidates with the same arithmetic and takes the smallest predecessor
+    that attains the value exactly, as the table's backpointers do.
+    ``certified`` holds when at every path position exactly one candidate
+    lies within a rounding margin of the best: then no other path of any
+    length comes within rounding of this one, so the table, whatever its
+    summation order, ranks the same path first.
+    """
+    L = len(trans)
     f = np.full(L, LOG_ZERO)
     f[0] = start
-    _forward(weights, f, lam)
+    for t in range(L - 1):
+        ft = f.item(t)
+        if ft > LOG_ZERO:
+            hops = trans[t, t + 1 :] if bonus is None else trans[t, t + 1 :] + bonus[t + 1 :]
+            tail = f[t + 1 :]
+            np.maximum(tail, hops + (ft - lam), out=tail)
     if not (f[-1] > LOG_ZERO and (f < np.inf).all()):
         return None, False
     # Worst-case rounding of an L-hop sum, widened by up to L/len for a mean.
@@ -338,24 +378,11 @@ def _longest_path(weights: np.ndarray, start: float, lam: float):
     u = L - 1
     path = [L]
     while u > 0:
-        candidates = weights[:u, u] + (f[:u] - lam)
+        hops = trans[:u, u] if bonus is None else trans[:u, u] + bonus[u]
+        candidates = hops + (f[:u] - lam)
         best = int(np.argmax(candidates))
         certified = certified and np.count_nonzero(candidates >= f[u] - margin) == 1
         u = best
         path.append(u + 1)
     path.reverse()
     return tuple(path), certified
-
-
-def _numpy_forward(weights: np.ndarray, f: np.ndarray, lam: float) -> None:
-    """The forward pass in place: from each reachable t in turn, relax every later position."""
-    for t in range(len(f) - 1):
-        ft = f.item(t)
-        if ft > LOG_ZERO:
-            tail = f[t + 1 :]
-            np.maximum(tail, weights[t, t + 1 :] + (ft - lam), out=tail)
-
-
-def _forward(weights: np.ndarray, f: np.ndarray, lam: float) -> None:
-    """The compiled forward pass if it loads (see ``_cpass``), else ``_numpy_forward``."""
-    (_cpass.load() or _numpy_forward)(weights, f, lam)

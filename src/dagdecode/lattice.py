@@ -45,6 +45,8 @@ class Instance:
     meta : mapping, optional
         Free-form provenance carried through serialization.
 
+    Both tables are kept as read-only, C-ordered float64 copies.
+
     Raises ``InstanceValidationError`` naming the first NaN or ``+inf``
     cell, 0-based in row-major order, transitions first. Any other value,
     ``-inf`` included, is accepted here; :func:`validate` checks the rest.
@@ -60,8 +62,9 @@ class Instance:
     def __post_init__(self):
         if self.L < 1 or self.V < 1:
             raise ShapeError(f"L and V must be >= 1, got L={self.L} V={self.V}")
-        trans = np.array(self.log_transitions, dtype=np.float64)
-        emis = np.array(self.log_emissions, dtype=np.float64)
+        # C order, whatever the input's: the compiled pass reads rows in place.
+        trans = np.array(self.log_transitions, dtype=np.float64, order="C")
+        emis = np.array(self.log_emissions, dtype=np.float64, order="C")
         if trans.shape != (self.L, self.L):
             raise ShapeError(
                 f"log_transitions has shape {trans.shape}, expected {(self.L, self.L)}"

@@ -77,14 +77,19 @@ def run_python(*args, **env) -> subprocess.CompletedProcess:
     )
 
 
-def build_peak(inst: Instance, mode) -> int:
-    """tracemalloc's peak, in bytes, over one ``build_viterbi_table(inst, mode)`` call."""
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one ``call()``."""
     tracemalloc.start()
     try:
-        decoders.build_viterbi_table(inst, mode)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def build_peak(inst: Instance, mode) -> int:
+    """tracemalloc's peak, in bytes, over one ``build_viterbi_table(inst, mode)`` call."""
+    return traced_peak(lambda: decoders.build_viterbi_table(inst, mode))
 
 
 def with_transitions(inst: Instance, cells: dict) -> Instance:

@@ -242,6 +242,22 @@ class TestDecode:
             )
             assert code == 3
 
+    def test_joint_weight_overflow_is_data_error(self, capsys, tmp_path, i4):
+        # Finite numbers whose JOINT weight, hop 2 -> 4 plus its best emission,
+        # overflows: bad data (exit 2), not an unreachable terminal (exit 3).
+        trans = np.array(i4.log_transitions)
+        trans[1, 3] = 1e308
+        emis = np.array(i4.log_emissions)
+        emis[3, 0] = 1e308
+        path = tmp_path / "overflow.json"
+        save_instance(Instance(L=4, V=2, log_transitions=trans, log_emissions=emis), path)
+        code, out, err = run(
+            capsys,
+            ["decode", "--strategy", "joint-viterbi", "--input", str(path), "--no-validate"],
+        )
+        assert (code, out) == (2, "")
+        assert "log_transitions[1][3] plus the best of log_emissions[3] overflows" in err
+
 
 class TestScore:
     def test_golden(self, capsys, i2_file):

@@ -48,6 +48,7 @@ from conftest import (
     random_batch,
     random_instance,
     run_python,
+    traced_peak,
     with_transitions,
 )
 
@@ -473,6 +474,12 @@ _REFUSED_CELL = {
     "posinf-emission": "log_emissions[2][1] is +inf",
 }
 
+#: What a JOINT table says of both overflow cases: hop 2 -> 4 overflows.
+_JOINT_OVERFLOW = (
+    "instance failed validation: "
+    "log_transitions[1][3] plus the best of log_emissions[3] overflows to +inf"
+)
+
 
 def _unvalidated_i4(case: str) -> Instance:
     """I4, not validated, with the case's 0-based log-transition and log-emission cells set."""
@@ -489,7 +496,7 @@ STRATEGY_MODES = sorted(TABLE_MODES.items())
 
 
 def _compiled_or_skip():
-    """The compiled forward pass; it must load wherever ``cc`` is found."""
+    """The compiled pass; it must load wherever ``cc`` is found."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     compiled = _cpass.load()
@@ -499,11 +506,12 @@ def _compiled_or_skip():
 
 @pytest.fixture(params=["compiled", "numpy"])
 def forward_pass(request, monkeypatch):
-    """Run the test once with each forward pass behind ``decoders._longest_path``."""
+    """Run the test once with each pass that ``decoders._longest_path`` dispatches to."""
     if request.param == "compiled":
-        monkeypatch.setattr(decoders, "_forward", _compiled_or_skip())
+        _compiled_or_skip()
     else:
-        monkeypatch.setattr(decoders, "_forward", decoders._numpy_forward)
+        # As after a failed compile: load() gives None, so the numpy pass runs.
+        monkeypatch.setattr(_cpass, "_pass", False)
     return request.param
 
 
@@ -559,16 +567,20 @@ class TestLongestPathRoute:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_unvalidated_input_decodes_as_table(self, case, strategy, beta):
         mode = TABLE_MODES[strategy]
-        # Only the overflow cases overflow (then meet -inf), on purpose; no other may warn.
-        quiet = "ignore" if case.startswith("overflow") else "warn"
-        with np.errstate(over=quiet, invalid=quiet):
-            expected = _outcome(lambda: table_decode(_unvalidated_i4(case), mode, beta)[0])
-            assert _outcome(lambda: decode(_unvalidated_i4(case), strategy, beta)) == expected
+        # No case may warn, the overflow cases included.
+        expected = _outcome(lambda: table_decode(_unvalidated_i4(case), mode, beta)[0])
+        assert _outcome(lambda: decode(_unvalidated_i4(case), strategy, beta)) == expected
         if case in _REFUSED_CELL:
             # Refused before any decoder runs: paths exist, so no decoder may
             # answer, or call the terminal unreachable.
             message = f"instance failed validation: {_REFUSED_CELL[case]}"
             assert expected == (InstanceValidationError, message)
+        if case.startswith("overflow"):
+            # Paths exist: PATH mode decodes them, and JOINT mode names the hop.
+            if mode is TableMode.JOINT:
+                assert expected == (InstanceValidationError, _JOINT_OVERFLOW)
+            else:
+                assert expected[0] == {"overflow": (1, 2, 4), "overflow-unreachable": (1, 4)}[case]
 
     @pytest.mark.parametrize(
         "case", ["diagonal", "below-diagonal", "nan-diagonal", "posinf-below-diagonal"]
@@ -628,41 +640,106 @@ def _huge_weights(L: int, seed: int) -> np.ndarray:
     return np.where(np.tri(L, dtype=bool), LOG_ZERO, weights)
 
 
+#: Later hops 0.1 + 0.2 against 0.3: the two paths to 3 differ by one ulp.
+_NEAR_TIE = np.array([[LOG_ZERO, 0.1, 0.3], [LOG_ZERO, LOG_ZERO, 0.2], [LOG_ZERO] * 3])
+
+
 class TestForwardPasses:
-    """The compiled forward pass fills what the numpy pass fills; without it, numpy runs."""
+    """The compiled pass returns what the numpy pass returns; without it, numpy runs."""
 
     def test_compiles_where_a_compiler_is_found(self):
         _compiled_or_skip()
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_fill_identical_bytes(self, mode):
+    def test_whole_pass_identical(self, mode):
         compiled = _compiled_or_skip()
-        cases = []
+        instances = []
         for seed in range(12):
             L = (2, 7, 64, 256)[seed % 4]
             inst = random_instance(seed, L=L, V=8, sparsity=0.5 if seed % 3 == 0 else 0.0)
             if seed % 2 and L > 2:  # a position no path reaches, so its row is skipped
                 inst = with_transitions(inst, {(t, L // 2): LOG_ZERO for t in range(L)})
-            weights, start = inst.log_transitions, 0.0
+            instances.append(inst)
+        for twin_rows in (True, False):  # forced ties, so some paths are not certified
+            instances += [funnel(random_instance(s, L=8 + s, V=3), 1 + s % 4, twin_rows)
+                          for s in range(4)]
+        cases = []
+        for inst in instances:
             if mode is TableMode.JOINT:
-                best = inst.log_emissions.max(axis=1)
-                weights, start = weights + best, best[0]
-            cases.append((weights, start))
-        cases += [(_huge_weights(L, L), 0.0) for L in (3, 17, 64)]
-        for weights, start in cases:
+                bonus = inst.log_emissions.max(axis=1)
+                cases.append((inst.log_transitions, bonus, bonus[0]))
+            else:
+                cases.append((inst.log_transitions, None, 0.0))
+        for trans, bonus, start in cases[:8]:  # a NaN hop must not be lost in a maximum
+            if len(trans) > 2:
+                trans = trans.copy()
+                trans[0, len(trans) // 2] = np.nan
+                cases.append((trans, bonus, start))
+        cases.append((_NEAR_TIE, None if mode is TableMode.PATH else np.zeros(3), 0.0))
+        if mode is TableMode.JOINT:  # trans + bonus overflows first, as numpy adds them
+            cases.append((np.array([[LOG_ZERO, 1e308], [LOG_ZERO] * 2]), np.array([0.0, 1e308]),
+                          -1e308))
+        for L in (3, 17, 64):
+            bonus = None if mode is TableMode.PATH else np.full(L, 1e307)
+            cases.append((_huge_weights(L, L), bonus, 0.0))
+        results = set()
+        for trans, bonus, start in cases:
             for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
-                f = {}
-                for name, fill in (("numpy", decoders._numpy_forward), ("compiled", compiled)):
-                    f[name] = np.full(len(weights), LOG_ZERO)
-                    f[name][0] = start
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        fill(weights, f[name], lam)
-                assert f["compiled"].tobytes() == f["numpy"].tobytes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = decoders._numpy_pass(trans, bonus, start, lam)
+                assert compiled(trans, bonus, start, lam) == expected
+                results.add(expected[1] if expected[0] else None)
+        assert results == {True, False, None}  # certified, not certified, and no path
+
+    def test_near_tie_is_not_certified(self, forward_pass):
+        # Hops 1 -> 2 -> 3 score one ulp above 1 -> 3: the path is the best,
+        # but within rounding of another.
+        assert decoders._longest_path(_NEAR_TIE, None, 0.0, 0.0) == ((1, 2, 3), False)
 
     @pytest.mark.parametrize("L", [17, 64])
     def test_overflow_gives_no_path(self, forward_pass, L):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert decoders._longest_path(_huge_weights(L, L), 0.0, 0.0) == (None, False)
+        for bonus in (None, np.full(L, 1e307)):  # PATH, JOINT
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert decoders._longest_path(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
+
+    def test_compiled_pass_reads_arrays_in_place_or_refuses(self):
+        compiled = _compiled_or_skip()
+        inst = random_instance(3, L=16, V=4)
+        trans, bonus = inst.log_transitions, inst.log_emissions.max(axis=1)
+        for bad_trans, bad_bonus in [
+            (np.asfortranarray(trans), None),
+            (trans.astype(np.float32), None),
+            (trans[:, :-1], None),
+            (np.empty((0, 0)), None),
+            (trans, np.repeat(bonus, 2)[::2]),
+            (trans, bonus[:-1]),
+            (trans, bonus.astype(np.float32)),
+        ]:
+            with pytest.raises(ValueError):
+                compiled(bad_trans, bad_bonus, 0.0, 0.0)
+
+    def test_instance_stores_c_ordered_tables(self, forward_pass):
+        inst = random_instance(21, L=64, V=8, sparsity=0.3)
+        # Fortran-ordered views of C arrays: .T of each table's transpose.
+        transposed = Instance(
+            L=inst.L, V=inst.V,
+            log_transitions=inst.log_transitions.T.copy().T,
+            log_emissions=inst.log_emissions.T.copy().T,
+        )
+        assert transposed.log_transitions.flags.c_contiguous
+        assert transposed.log_emissions.flags.c_contiguous
+        for strategy in sorted(TABLE_MODES):
+            for beta in (0.0, 1.0):
+                assert hypothesis_fields(decode(transposed, strategy, beta)) == hypothesis_fields(
+                    decode(inst, strategy, beta)
+                )
+
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    def test_decode_peak_within_one_byte_per_cell(self, forward_pass, strategy):
+        # No L x L array: the passes read the transitions in place.
+        L = 512
+        inst = random_instance(9, L=L, V=8)
+        assert traced_peak(lambda: decode(inst, strategy, 1.0)) <= L * L
 
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache"])
     def test_falls_back_to_numpy_once(self, fresh_cpass, monkeypatch, tmp_path, failure):
