@@ -8,10 +8,11 @@ compiling ``SOURCE`` into it first if it is missing, with the system C
 compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
 contraction, so the pass does numpy's float operations in numpy's order and
 returns the numpy pass's ``(path, certified)``. The cache is
-``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``, mode 0700);
-the file name is keyed by the CRC-32 of the source, the flags and the
-machine (``zlib`` is loaded already; ``hashlib`` would load OpenSSL), and
-the file is moved into place only once complete. If anything fails (no
+``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where that variable
+is unset, empty or relative; mode 0700); the file name is keyed by the
+CRC-32 of the source, the flags and the machine (``zlib`` is loaded
+already; ``hashlib`` would load OpenSSL), and the file is moved into place
+only once complete. If anything fails (no
 compiler, a compile error, an unwritable or shared cache directory, a load
 error), ``load()`` returns None from then on and the caller keeps the numpy pass; it does not try again in the same process.
 """
@@ -129,7 +130,9 @@ def _library() -> Path:
     import subprocess
 
     key = zlib.crc32("\0".join([SOURCE, *FLAGS, platform.machine()]).encode())
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "dagdecode"
+    # The XDG spec says to ignore a relative (or empty) XDG_CACHE_HOME.
+    base = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    cache = (base if base.is_absolute() else Path.home() / ".cache") / "dagdecode"
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
     stat = cache.stat()
     if stat.st_uid != os.getuid() or stat.st_mode & 0o022:

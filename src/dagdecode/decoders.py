@@ -3,21 +3,23 @@
 Two sequential baselines (greedy, lookahead) and two dynamic-programming
 decoders that are exact per output length: a max-score table over the
 transition table alone (PATH mode) or over transitions with each target
-position's best emission folded in (JOINT mode). The table keeps what its
-readers read: each output length's best log-score at position L, and the
-backpointers that recover that path. Length selection divides each
-length's log-score by ``length ** beta`` before taking the argmax.
+position's best emission (``Instance.best_emission``) folded in (JOINT
+mode). The table keeps what its readers read: each output length's best
+log-score at position L, and the backpointers that recover that path.
+Length selection divides each length's log-score by ``length ** beta``
+before taking the argmax.
 
 Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
 ``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
 with O(L^2) longest-path passes over the DAG (one pass at 0; Dinkelbach's
 parametric method for the per-token mean at 1) and no table. The answer is
-certified on the last pass; on a near-tie, or where a JOINT weight might
-overflow to ``+inf``, they build the table instead, so results, tie rules
-and errors are the table's. Any other ``beta``, and every caller that reads
-every length (``table_decode``, ``decode_all_lengths``, the CLI ``decode``,
-analysis' optimum column), builds the O(L^3) table. A JOINT table refuses a
-later hop whose weight overflows with ``InstanceValidationError``.
+certified on the last pass; on a near-tie they build the table instead,
+so results, tie rules and errors are the table's. Any other ``beta``, and
+every caller that reads every length (``table_decode``,
+``decode_all_lengths``, the CLI ``decode``, analysis' optimum column),
+builds the O(L^3) table. A JOINT weight that overflows never gets here (the
+instance refuses it); a path score that overflows to ``+inf`` makes the
+table raise ``InstanceValidationError`` in either mode.
 
 Each pass is one call of a small C function (``_cpass``): the forward fill,
 the margin, the backtrace and the certificate, reading the transitions in
@@ -109,9 +111,9 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     the next pass, keeping the terminal entry as that length's score.
     Positions earlier than the prefix length are unreachable, and only hops
     to strictly later positions are read. The predecessor argmax takes the
-    first (smallest) position on ties. In JOINT mode a later hop whose
-    weight overflows to ``+inf`` raises ``InstanceValidationError`` naming
-    the first such hop, in row-major order.
+    first (smallest) position on ties. A path score that overflows to
+    ``+inf`` raises ``InstanceValidationError``: from then on every longer
+    prefix scores ``+inf`` or NaN, so checking each length's score is exact.
     """
     L = instance.L
     alpha = np.full(L, LOG_ZERO)
@@ -123,29 +125,24 @@ def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
     # A copy, not a view: JOINT mode adds to it in place.
     weights_t = later_hops(instance).T.copy()
     if mode is TableMode.JOINT:
-        best_emission = instance.log_emissions.max(axis=1)
-        with np.errstate(over="ignore"):
-            weights_t += best_emission[:, None]
-        # The instance holds no NaN or +inf, but a sum of two finite scores can
-        # overflow; the passes would then add +inf to an unreachable -inf.
-        if not weights_t.max() < np.inf:
-            i, j = np.argwhere(weights_t.T == np.inf)[0]
-            raise InstanceValidationError(
-                [f"log_transitions[{i}][{j}] plus the best of log_emissions[{j}] "
-                 "overflows to +inf"]
-            )
-        prev[0] = best_emission[0]
+        weights_t += instance.best_emission[:, None]
+        prev[0] = instance.best_emission[0]
     alpha[0] = prev[-1]
-    for i in range(1, L):
-        # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
-        scores = weights_t[i:, i - 1 :] + prev[None, :]
-        best = np.argmax(scores, axis=1)
-        prev = scores[np.arange(L - i), best]
-        alpha[i] = prev[-1]
-        psi[i, i:] = np.where(np.isfinite(prev), best + i, 0)
-        # Drop this pass's scores before the next pass allocates its own, so
-        # that only one (L-i)x(L-i+1) temporary is alive at a time.
-        del scores
+    # An overflowed prefix turns to +inf, then to NaN where it meets a -inf hop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, L):
+            # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
+            scores = weights_t[i:, i - 1 :] + prev[None, :]
+            best = np.argmax(scores, axis=1)
+            prev = scores[np.arange(L - i), best]
+            alpha[i] = prev[-1]
+            psi[i, i:] = np.where(np.isfinite(prev), best + i, 0)
+            # Drop this pass's scores before the next pass allocates its own, so
+            # that only one (L-i)x(L-i+1) temporary is alive at a time.
+            del scores
+    if not alpha.max() < np.inf:  # one reduction; NaN fails it too
+        n = int(np.argmax(~(alpha < np.inf))) + 1
+        raise InstanceValidationError([f"a path score overflows to +inf within {n} positions"])
     return ViterbiTable(alpha=alpha, psi=psi)
 
 
@@ -193,9 +190,8 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
     # Scoring checks the path (PathShapeError), so it comes before any indexing.
     path_lp = scoring.path_log_prob(instance, path)
     pos = np.asarray(tuple(path), dtype=np.intp) - 1
-    tokens = tuple(int(y) for y in np.argmax(instance.log_emissions[pos], axis=1))
-    emission_lp = scoring.translation_given_path_log_prob(instance, path, tokens)
-    return Hypothesis(path, tokens, path_lp, emission_lp)
+    emission_lp = float(np.sum(instance.best_emission[pos]))
+    return Hypothesis(path, instance.best_token[pos].tolist(), path_lp, emission_lp)
 
 
 def greedy_decode(instance: Instance) -> Hypothesis:
@@ -210,7 +206,7 @@ def lookahead_decode(instance: Instance) -> Hypothesis:
     is fixed, so there is no transition to weigh it against). Ties prefer
     the earlier position, then the smaller token id.
     """
-    return argmax_hypothesis(instance, _walk(instance, instance.log_emissions.max(axis=1)))
+    return argmax_hypothesis(instance, _walk(instance, instance.best_emission))
 
 
 def table_decode(
@@ -291,20 +287,17 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     pass charges every hop ``lam``, ``lam`` starts at the mean of the path
     the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
     mean of each pass's path until the path repeats. None (build the table)
-    when the answer cannot be certified: a JOINT weight (a transition plus
-    a best emission) that may overflow to ``+inf``, an unreachable terminal,
-    a walk that dead-ends, a mean that stops rising, or a near-tie on the
-    last pass.
+    when the answer cannot be certified: an unreachable terminal, a walk
+    that dead-ends, a mean that stops rising, or a near-tie on the last
+    pass. A path score that overflows is one of these: at ``lam <= 0`` a
+    pass's scores bound every prefix's from above, so they overflow too and
+    the pass finds no path; at ``lam > 0`` the margin's scale overflows, so
+    the pass certifies nothing.
     """
     trans, bonus, start = instance.log_transitions, None, 0.0
     if mode is TableMode.JOINT:
-        bonus = instance.log_emissions.max(axis=1)
+        bonus = instance.best_emission
         start = bonus[0]
-        # The instance holds no NaN or +inf, but a sum of two finite scores can
-        # overflow, though never with a bonus <= 0. Python floats, so no warning.
-        top = float(bonus.max())
-        if top > 0 and not float(trans.max()) + top < np.inf:
-            return None
     path, lam = None, 0.0
     if beta == 1:
         try:
@@ -332,7 +325,9 @@ def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -
     hops = trans[pos[:-1], pos[1:]]
     if bonus is not None:
         hops += bonus[pos[1:]]
-    return float(start + hops.sum()) / len(path)
+    # A sum that overflows gives +inf, or NaN from a -inf start; no pass certifies either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(start + hops.sum()) / len(path)
 
 
 def _longest_path(trans: np.ndarray, bonus, start: float, lam: float):
@@ -347,6 +342,7 @@ def _longest_path(trans: np.ndarray, bonus, start: float, lam: float):
     return (_cpass.load() or _numpy_pass)(trans, bonus, start, lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled pass is
 def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
     """``_longest_path`` in numpy: the fallback, and the compiled pass's reference.
 

@@ -150,10 +150,7 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def _table_to_lists(table: np.ndarray) -> list[list[float | None]]:
-    return [
-        [None if v == LOG_ZERO else float(v) for v in row]
-        for row in table
-    ]
+    return np.where(table == LOG_ZERO, None, table).tolist()
 
 
 def _lists_to_table(rows, name: str) -> np.ndarray:

@@ -3,14 +3,14 @@
 A lattice instance is a pair of log-probability tables over ``L`` decoder
 positions: an upper-triangular transition table between positions and a
 per-position emission table over ``V`` vocabulary tokens. Neither table
-holds NaN or ``+inf``: an instance refuses them when it is built, so no
-decoder, score or check downstream meets one. Positions are 1-based
-everywhere a human sees them; array indexing is 0-based.
+holds NaN or ``+inf``, nor overflows a JOINT weight: an instance refuses
+them when it is built, so no decoder, score or check downstream meets one.
+Positions are 1-based everywhere a human sees them; array indexing is 0-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -45,11 +45,15 @@ class Instance:
     meta : mapping, optional
         Free-form provenance carried through serialization.
 
-    Both tables are kept as read-only, C-ordered float64 copies.
+    Both tables are kept as read-only, C-ordered float64 copies, with the
+    read-only per-position ``best_token`` (smallest id on ties) and
+    ``best_emission`` (its log-probability). A JOINT hop t -> u weighs
+    ``log_transitions[t, u] + best_emission[u]``.
 
     Raises ``InstanceValidationError`` naming the first NaN or ``+inf``
-    cell, 0-based in row-major order, transitions first. Any other value,
-    ``-inf`` included, is accepted here; :func:`validate` checks the rest.
+    cell, 0-based in row-major order, transitions first, then the first
+    cell whose JOINT weight overflows to ``+inf``. Any other value, ``-inf``
+    included, is accepted here; :func:`validate` checks the rest.
     """
 
     L: int
@@ -58,6 +62,8 @@ class Instance:
     log_emissions: np.ndarray
     vocab: tuple[str, ...] | None = None
     meta: Mapping | None = None
+    best_token: np.ndarray = field(init=False, repr=False)
+    best_emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.L < 1 or self.V < 1:
@@ -73,15 +79,27 @@ class Instance:
             raise ShapeError(
                 f"log_emissions has shape {emis.shape}, expected {(self.L, self.V)}"
             )
+        tops = []
         for name, table in (("log_transitions", trans), ("log_emissions", emis)):
-            if not table.max() < np.inf:  # one reduction; NaN fails it too
+            tops.append(float(table.max()))
+            if not tops[-1] < np.inf:  # one reduction; NaN fails it too
                 i, j = np.argwhere(~(table < np.inf))[0]
                 kind = "NaN" if np.isnan(table[i, j]) else "+inf"
                 raise InstanceValidationError([f"{name}[{i}][{j}] is {kind}"])
-        trans.setflags(write=False)
-        emis.setflags(write=False)
-        object.__setattr__(self, "log_transitions", trans)
-        object.__setattr__(self, "log_emissions", emis)
+        best_token = emis.argmax(axis=1)
+        best_emission = emis[np.arange(self.L), best_token]
+        # Only a pair of table maxima that overflows needs the L x L sum.
+        if not tops[0] + tops[1] < np.inf:  # Python floats: no warning
+            with np.errstate(over="ignore"):
+                over = np.argwhere(trans + best_emission == np.inf)
+            if len(over):
+                i, j = over[0]
+                raise InstanceValidationError([f"log_transitions[{i}][{j}] plus the best "
+                                               f"of log_emissions[{j}] overflows to +inf"])
+        for name, value in (("log_transitions", trans), ("log_emissions", emis),
+                            ("best_token", best_token), ("best_emission", best_emission)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.vocab is not None:
             vocab = tuple(str(w) for w in self.vocab)
             if len(vocab) != self.V:

@@ -108,9 +108,7 @@ def argmax_emission(instance: Instance, position: int) -> tuple[int, float]:
         raise PathShapeError(
             f"position {position} outside lattice of {instance.L} positions"
         )
-    row = instance.log_emissions[position - 1]
-    token = int(np.argmax(row))
-    return token, float(row[token])
+    return int(instance.best_token[position - 1]), float(instance.best_emission[position - 1])
 
 
 def _checked_path(instance: Instance, path) -> DecodingPath:

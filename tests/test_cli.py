@@ -10,6 +10,7 @@ import dagdecode
 from dagdecode import Instance, TableMode, save_instance, scoring
 from dagdecode.cli import run_cli
 from dagdecode.decoders import STRATEGIES
+from dagdecode.io import instance_to_dict
 
 from conftest import run_python, with_transitions
 
@@ -244,19 +245,44 @@ class TestDecode:
 
     def test_joint_weight_overflow_is_data_error(self, capsys, tmp_path, i4):
         # Finite numbers whose JOINT weight, hop 2 -> 4 plus its best emission,
-        # overflows: bad data (exit 2), not an unreachable terminal (exit 3).
-        trans = np.array(i4.log_transitions)
-        trans[1, 3] = 1e308
-        emis = np.array(i4.log_emissions)
-        emis[3, 0] = 1e308
-        path = tmp_path / "overflow.json"
-        save_instance(Instance(L=4, V=2, log_transitions=trans, log_emissions=emis), path)
-        code, out, err = run(
-            capsys,
-            ["decode", "--strategy", "joint-viterbi", "--input", str(path), "--no-validate"],
-        )
-        assert (code, out) == (2, "")
-        assert "log_transitions[1][3] plus the best of log_emissions[3] overflows" in err
+        # overflows: bad data (exit 2) for every command, not an unreachable
+        # terminal (exit 3), a success, or a JSON error.
+        doc = instance_to_dict(i4)
+        doc["log_transitions"][1][3] = 1e308
+        doc["log_emissions"][3][0] = 1e308
+        in_dir = tmp_path / "inputs"
+        in_dir.mkdir()
+        path = in_dir / "overflow.json"
+        path.write_text(json.dumps(doc))
+        commands = [["decode", "--strategy", s, "--input", str(path)] for s in STRATEGIES]
+        commands += [
+            ["score", "--input", str(path), "--path", "1,2,4", "--tokens", "0,1,0"],
+            ["oracle", "--input", str(path), "--mode", "joint"],
+            ["analyze", "--inputs", str(in_dir)],
+        ]
+        for argv in commands:
+            code, out, err = run(capsys, [*argv, "--no-validate"])
+            assert (code, out) == (2, ""), argv
+            assert "log_transitions[1][3] plus the best of log_emissions[3] overflows" in err
+
+    def test_path_score_overflow_is_data_error(self, capsys, tmp_path):
+        # Hops 1 -> 2 -> 3 of 1e308 each: the length-3 path's score overflows.
+        doc = {
+            "L": 3,
+            "V": 1,
+            "log_transitions": [[None, 1e308, -1.0], [None, None, 1e308], [None] * 3],
+            "log_emissions": [[0.0]] * 3,
+        }
+        path = tmp_path / "path-overflow.json"
+        path.write_text(json.dumps(doc))
+        for strategy in ("viterbi", "joint-viterbi"):
+            code, out, err = run(
+                capsys,
+                ["decode", "--strategy", strategy, "--beta", "0", "--input", str(path),
+                 "--no-validate"],
+            )
+            assert (code, out) == (2, "")
+            assert "a path score overflows to +inf within 3 positions" in err
 
 
 class TestScore:

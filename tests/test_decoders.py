@@ -451,7 +451,7 @@ _TRANSITION_CELLS = {
     "unreachable": {(t, 3): LOG_ZERO for t in range(4)},
     "posinf-both": {(1, 3): math.inf},
     # Finite, but the JOINT weight of the hop 2 -> 4 overflows to +inf; in
-    # "overflow-unreachable" no path reaches 2, so a pass would add +inf to -inf.
+    # "overflow-unreachable" no path reaches 2. The instance refuses both.
     "overflow": {(1, 3): 1e308},
     "overflow-unreachable": {(0, 1): LOG_ZERO, (0, 2): LOG_ZERO, (1, 3): 1e308},
 }
@@ -462,7 +462,10 @@ _EMISSION_CELLS = {
     "overflow": {(3, 0): 1e308},
     "overflow-unreachable": {(3, 0): 1e308},
 }
-#: The cell each case with a NaN or +inf names when the instance refuses it.
+#: What the instance says of both overflow cases: hop 2 -> 4's JOINT weight overflows.
+_JOINT_OVERFLOW = "log_transitions[1][3] plus the best of log_emissions[3] overflows to +inf"
+#: The cell each case with a NaN, +inf or overflowing JOINT weight names when
+#: the instance refuses it.
 _REFUSED_CELL = {
     "nan": "log_transitions[0][1] is NaN",
     "nan-last-hop": "log_transitions[1][3] is NaN",
@@ -472,13 +475,9 @@ _REFUSED_CELL = {
     "posinf-both": "log_transitions[1][3] is +inf",
     "nan-emission": "log_emissions[2][0] is NaN",
     "posinf-emission": "log_emissions[2][1] is +inf",
+    "overflow": _JOINT_OVERFLOW,
+    "overflow-unreachable": _JOINT_OVERFLOW,
 }
-
-#: What a JOINT table says of both overflow cases: hop 2 -> 4 overflows.
-_JOINT_OVERFLOW = (
-    "instance failed validation: "
-    "log_transitions[1][3] plus the best of log_emissions[3] overflows to +inf"
-)
 
 
 def _unvalidated_i4(case: str) -> Instance:
@@ -575,12 +574,6 @@ class TestLongestPathRoute:
             # answer, or call the terminal unreachable.
             message = f"instance failed validation: {_REFUSED_CELL[case]}"
             assert expected == (InstanceValidationError, message)
-        if case.startswith("overflow"):
-            # Paths exist: PATH mode decodes them, and JOINT mode names the hop.
-            if mode is TableMode.JOINT:
-                assert expected == (InstanceValidationError, _JOINT_OVERFLOW)
-            else:
-                assert expected[0] == {"overflow": (1, 2, 4), "overflow-unreachable": (1, 4)}[case]
 
     @pytest.mark.parametrize(
         "case", ["diagonal", "below-diagonal", "nan-diagonal", "posinf-below-diagonal"]
@@ -622,6 +615,65 @@ class TestLongestPathRoute:
         expected = _outcome(lambda: table_decode(i4, mode, beta)[0])
         assert expected[0] is ValueError
         assert _outcome(lambda: decode(i4, strategy, beta)) == expected
+
+
+def _lattice(trans, emis=None) -> Instance:
+    """An unvalidated instance over ``trans``; one token, emitted with log-probability 0, by default."""
+    trans = np.asarray(trans, dtype=np.float64)
+    emis = np.zeros((len(trans), 1)) if emis is None else emis
+    return Instance(L=len(trans), V=emis.shape[1], log_transitions=trans, log_emissions=emis)
+
+
+def _chain_and_shortcut() -> np.ndarray:
+    """L=6: five 5e307 hops 1 -> 2 -> ... -> 6, whose sum overflows, and one 1.5e308 hop 1 -> 6."""
+    trans = np.full((6, 6), LOG_ZERO)
+    for t in range(5):
+        trans[t, t + 1] = 5e307
+    trans[0, 5] = 1.5e308
+    return trans
+
+
+#: Transitions where the best path's score overflows to +inf, and the positions it spans.
+#: Dropping that length would decode (1, 3) from "two-hops" and (1, 6) from "chain".
+_OVERFLOWING_PATHS = {
+    "two-hops": ([[LOG_ZERO, 1e308, -1.0], [LOG_ZERO, LOG_ZERO, 1e308], [LOG_ZERO] * 3], 3),
+    "chain": (_chain_and_shortcut(), 6),
+}
+
+
+class TestPathScoreOverflow:
+    """A path score that overflows to +inf is bad data, in the table and on the fast path alike."""
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWING_PATHS))
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_overflowing_length_is_refused_not_dropped(self, forward_pass, case, strategy, beta):
+        trans, positions = _OVERFLOWING_PATHS[case]
+        inst = _lattice(trans)
+        message = f"a path score overflows to +inf within {positions} positions"
+        expected = (InstanceValidationError, f"instance failed validation: {message}")
+        assert _outcome(lambda: table_decode(inst, TABLE_MODES[strategy], beta)[0]) == expected
+        assert _outcome(lambda: decode(inst, strategy, beta)) == expected
+
+    def test_huge_hops_decode_as_table(self, forward_pass):
+        # Later hops up to +-0.8e308, some -inf, and finite entries below the
+        # diagonal: JOINT weights never overflow, but path scores often do.
+        # No decode may warn.
+        rng = np.random.default_rng(1234)
+        outcomes = set()
+        for _ in range(150):
+            L = int(rng.integers(2, 10))
+            trans = rng.uniform(-0.8e308, 0.8e308, (L, L))
+            trans[rng.random((L, L)) < 0.3] = LOG_ZERO
+            trans[L - 1] = LOG_ZERO
+            emis = np.log(rng.dirichlet(np.ones(3), size=L))
+            inst = _lattice(trans, emis)
+            for strategy, mode in STRATEGY_MODES:
+                for beta in (0.0, 1.0):
+                    expected = _outcome(lambda: table_decode(inst, mode, beta)[0])
+                    assert _outcome(lambda: decode(inst, strategy, beta)) == expected
+                    outcomes.add(expected[0] if isinstance(expected[0], type) else "decoded")
+        assert outcomes == {"decoded", InstanceValidationError, UnreachableTerminalError}
 
 
 @pytest.fixture
@@ -666,7 +718,7 @@ class TestForwardPasses:
         cases = []
         for inst in instances:
             if mode is TableMode.JOINT:
-                bonus = inst.log_emissions.max(axis=1)
+                bonus = inst.best_emission
                 cases.append((inst.log_transitions, bonus, bonus[0]))
             else:
                 cases.append((inst.log_transitions, None, 0.0))
@@ -685,8 +737,7 @@ class TestForwardPasses:
         results = set()
         for trans, bonus, start in cases:
             for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    expected = decoders._numpy_pass(trans, bonus, start, lam)
+                expected = decoders._numpy_pass(trans, bonus, start, lam)
                 assert compiled(trans, bonus, start, lam) == expected
                 results.add(expected[1] if expected[0] else None)
         assert results == {True, False, None}  # certified, not certified, and no path
@@ -699,13 +750,12 @@ class TestForwardPasses:
     @pytest.mark.parametrize("L", [17, 64])
     def test_overflow_gives_no_path(self, forward_pass, L):
         for bonus in (None, np.full(L, 1e307)):  # PATH, JOINT
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert decoders._longest_path(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
+            assert decoders._longest_path(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
 
     def test_compiled_pass_reads_arrays_in_place_or_refuses(self):
         compiled = _compiled_or_skip()
         inst = random_instance(3, L=16, V=4)
-        trans, bonus = inst.log_transitions, inst.log_emissions.max(axis=1)
+        trans, bonus = inst.log_transitions, inst.best_emission
         for bad_trans, bad_bonus in [
             (np.asfortranarray(trans), None),
             (trans.astype(np.float32), None),
@@ -812,6 +862,27 @@ class TestForwardPasses:
         assert loaded_openssl == "False"
         # A changed source is compiled into a file of its own.
         assert len(names.split()) == 2 and all(n.endswith(".so") for n in names.split())
+
+    def test_relative_cache_home_is_ignored(self, tmp_path, i4):
+        # The XDG spec: a relative XDG_CACHE_HOME is invalid, so ~/.cache is used.
+        _compiled_or_skip()
+        path = tmp_path / "I4.json"
+        save_instance(i4, path)
+        work, home = tmp_path / "work", tmp_path / "home"
+        work.mkdir()
+        code = (
+            "import os, sys, dagdecode\n"
+            "from dagdecode import _cpass\n"
+            "os.chdir(sys.argv[2])\n"
+            "inst = dagdecode.parse_instance(open(sys.argv[1]).read())\n"
+            "dagdecode.decode(inst, 'joint-viterbi', 1.0)\n"
+            "assert _cpass.load() is not None\n"
+        )
+        proc = run_python("-c", code, str(path), str(work), XDG_CACHE_HOME="rel", HOME=str(home))
+        assert proc.returncode == 0, proc.stderr
+        assert list(work.iterdir()) == []
+        [lib] = (home / ".cache" / "dagdecode").iterdir()
+        assert lib.suffix == ".so"
 
     def test_import_and_cli_decode_never_compile(self, tmp_path, i4):
         # A stand-in compiler that only leaves a mark, first on PATH.

@@ -7,6 +7,7 @@ import pytest
 from dagdecode import (
     GeneratorConfig,
     GeneratorConfigError,
+    Instance,
     InstanceFormatError,
     InstanceValidationError,
     ShapeError,
@@ -17,9 +18,10 @@ from dagdecode import (
     serialize_instance,
     validate,
 )
-from dagdecode.io import instance_from_dict, instance_to_dict
+from dagdecode.io import _table_to_lists, instance_from_dict, instance_to_dict
+from dagdecode.logmath import LOG_ZERO
 
-from conftest import random_instance
+from conftest import random_batch, random_instance
 
 
 class TestRoundTrip:
@@ -28,6 +30,24 @@ class TestRoundTrip:
         assert np.array_equal(recovered.log_transitions, i4.log_transitions)
         assert np.array_equal(recovered.log_emissions, i4.log_emissions)
         assert recovered == i4
+
+    def test_edge_values_round_trip(self):
+        # Signed zeros, the smallest subnormal and a huge value keep their exact text.
+        row = [-0.0, 0.0, -math.inf, 5e-324, 1e308]
+        inst = Instance(L=1, V=5, log_transitions=[[-math.inf]], log_emissions=[row])
+        doc = instance_to_dict(inst)
+        assert all(type(v) is float for v in doc["log_emissions"][0] if v is not None)
+        assert json.dumps(doc["log_emissions"]) == "[[-0.0, 0.0, null, 5e-324, 1e+308]]"
+        assert json.dumps(doc["log_transitions"]) == "[[null]]"
+        recovered = parse_instance(serialize_instance(inst), run_validation=False)
+        assert recovered.log_emissions.tobytes() == inst.log_emissions.tobytes()
+
+    def test_tables_serialize_as_the_per_cell_loop_does(self):
+        # The loop is the reference for the vectorized encoding: same JSON text.
+        for inst in random_batch(30, seed0=500, L=9, V=4, sparsity=0.3):
+            for table in (inst.log_transitions, inst.log_emissions):
+                loop = [[None if v == LOG_ZERO else float(v) for v in row] for row in table]
+                assert json.dumps(_table_to_lists(table)) == json.dumps(loop)
 
     def test_neg_inf_encoded_as_null(self, i2):
         doc = json.loads(serialize_instance(i2))

@@ -119,6 +119,60 @@ class TestInstance:
             Instance(L=inst.L, V=inst.V, log_transitions=tables[0], log_emissions=tables[1])
         assert str(caught.value) == f"instance failed validation: {names[k]}[{i}][{j}] is {kind}"
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_joint_overflow_refused_naming_the_first(self, data):
+        # Every cell counts, on and below the diagonal too, as for NaN and +inf.
+        inst = random_instance(
+            data.draw(st.integers(0, 2**32 - 1)), L=data.draw(st.integers(1, 7)),
+            V=data.draw(st.integers(1, 4)),
+        )
+        L, V = inst.L, inst.V
+        trans, emis = np.array(inst.log_transitions), np.array(inst.log_emissions)
+        huge = st.sampled_from([1e308, 1.7e308, -1e308])
+        for _ in range(data.draw(st.integers(1, 4))):
+            trans[data.draw(st.integers(0, L - 1)), data.draw(st.integers(0, L - 1))] = data.draw(huge)
+        for _ in range(data.draw(st.integers(1, 3))):
+            emis[data.draw(st.integers(0, L - 1)), data.draw(st.integers(0, V - 1))] = data.draw(huge)
+        over = [(i, j) for i in range(L) for j in range(L)
+                if float(trans[i, j]) + max(float(e) for e in emis[j]) == math.inf]
+        if not over:
+            inst = Instance(L=L, V=V, log_transitions=trans, log_emissions=emis)
+            with np.errstate(over="ignore"):  # a sum may still overflow to -inf
+                assert not np.isposinf(inst.log_transitions + inst.best_emission).any()
+            return
+        i, j = over[0]
+        message = (f"instance failed validation: log_transitions[{i}][{j}] plus the best of "
+                   f"log_emissions[{j}] overflows to +inf")
+        with pytest.raises(InstanceValidationError) as caught:
+            Instance(L=L, V=V, log_transitions=trans, log_emissions=emis)
+        assert str(caught.value) == message
+
+    def test_from_probs_never_overflows(self):
+        # A log-probability is at most log(1.8e308) = 709.8, so no JOINT weight overflows.
+        biggest = np.finfo(np.float64).max
+        inst = Instance.from_probs([[0.0, biggest], [0.0, 0.0]], [[biggest, 1.0]] * 2)
+        assert inst.best_emission.tolist() == [math.log(biggest)] * 2
+        assert inst.log_transitions[0, 1] + inst.best_emission[1] < 1420
+
+    def test_best_tokens_match_row_argmax(self, suite_500):
+        for inst in suite_500:
+            assert np.array_equal(inst.best_token, np.argmax(inst.log_emissions, axis=1))
+            assert np.array_equal(inst.best_emission, np.max(inst.log_emissions, axis=1))
+
+    def test_tied_row_gives_smallest_id(self):
+        inst = Instance.from_probs([[0.0]], [[0.2, 0.4, 0.4]])
+        assert inst.best_token.tolist() == [1]
+        assert inst.best_emission.tolist() == [math.log(0.4)]
+
+    def test_best_tokens_are_frozen(self, i2):
+        with pytest.raises(ValueError):
+            i2.best_token[0] = 1
+        with pytest.raises(ValueError):
+            i2.best_emission[0] = 0.0
+        with pytest.raises(AttributeError):
+            i2.best_token = np.zeros(2, dtype=np.intp)
+
     def test_tables_are_frozen(self, i2):
         with pytest.raises(ValueError):
             i2.log_transitions[0, 1] = 0.0
