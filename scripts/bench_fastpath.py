@@ -1,4 +1,4 @@
-"""Before/after timing of ``decode`` at beta 0 and 1 on L=256, V=32 lattices.
+"""Before/after timing of ``decode`` at beta 0 and 1, and of the table build.
 
 Run from the root of a checkout:
 
@@ -11,6 +11,8 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
 0-7, every 4th at sparsity 0.3):
 
 - per-call ``decode`` time, median and p90, per strategy and beta;
+- median ``build_viterbi_table`` time per mode on one generated instance
+  (seed 0, V=32) at each L of ``TABLE_LENGTHS``;
 - longest-path passes and table builds per call, counted in a separate
   untimed sweep by wrapping ``decoders._longest_path`` (absent at a parent
   without it: reported as null) and ``decoders.build_viterbi_table``;
@@ -18,8 +20,8 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
 - whether the compiled pass (``dagdecode._cpass``) was in use
   (null at a parent without it).
 
-The compiled pass is built, or found in its cache, during the warm-up, so
-no timed call pays for the compiler.
+The compiled kernels are built, or found in their cache, during the
+warm-up, so no timed call pays for the compiler.
 
 Runs are sequential and single-threaded; every input is generated in the
 child from its seed.
@@ -41,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STRATEGIES = ("viterbi", "joint-viterbi")
 BETAS = (0.0, 1.0)
+TABLE_LENGTHS = (64, 256, 512)
 
 
 def measure(src: str, reps: int) -> dict:
@@ -80,6 +83,18 @@ def measure(src: str, reps: int) -> dict:
                 "calls": len(samples),
             }
 
+    table_ms = {}
+    for L in TABLE_LENGTHS:
+        inst = generate_instance(GeneratorConfig(L=L, V=32, seed=0))
+        for mode in decoders.TableMode:
+            decoders.build_viterbi_table(inst, mode)  # warm-up
+            samples = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                decoders.build_viterbi_table(inst, mode)
+                samples.append(time.perf_counter() - start)
+            table_ms[f"{mode.value} L={L}"] = statistics.median(samples) * 1e3
+
     counts = {"passes": 0, "builds": 0}
 
     def counted(name, fn):
@@ -111,6 +126,7 @@ def measure(src: str, reps: int) -> dict:
     return {
         "compiled_pass": compiled_pass,
         "decode": times,
+        "table_build_ms": table_ms,
         "work": work,
         "criterion7_ratio": timings["joint-viterbi"].ratio_vs_baseline,
         "criterion7_greedy_us": timings["greedy"].mean_seconds * 1e6,
@@ -141,6 +157,9 @@ def summarize(runs: list[dict]) -> dict:
                 "p90": med([r["decode"][k]["p90_ms"] for r in runs]),
             }
             for k in keys
+        },
+        "table_build_ms": {
+            k: med([r["table_build_ms"][k] for r in runs]) for k in runs[0]["table_build_ms"]
         },
         "work_per_call": runs[0]["work"],
         "fallbacks_per_call": {
@@ -211,7 +230,8 @@ def main(argv=None) -> int:
         "parent": rev,
         "machine": machine(),
         "workload": "decode(inst, strategy, beta) on 8 generated L=256 V=32 instances "
-        "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1",
+        "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1; "
+        f"build_viterbi_table on one V=32 instance (seed 0) at L {TABLE_LENGTHS}",
         "rounds": args.rounds,
         "before": summarize(runs["parent"]),
         "after": summarize(runs["change"]),

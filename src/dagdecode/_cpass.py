@@ -1,20 +1,25 @@
-"""One whole longest-path pass, compiled from C and loaded with ``ctypes``.
+"""The two compiled kernels, built from C and loaded with ``ctypes``.
 
-A pass is what ``decoders._numpy_pass`` computes, in one call: the forward
-fill, the checks that the terminal is reached and that no value is NaN or
-``+inf``, the rounding margin, the backtrace and its certificate. On its
-first call, never at import, ``load()`` loads the library from its cache,
+``longest_path`` runs one whole longest-path pass, what
+``decoders._numpy_pass`` computes, in one call: the forward fill, the
+checks that the terminal is reached and that no value is NaN or ``+inf``,
+the rounding margin, the backtrace and its certificate. ``table`` fills the
+per-length Viterbi table, what ``decoders._numpy_table`` computes, writing
+the backpointers straight into their final dtype. On its first call, never
+at import, ``load()`` loads the library that holds both from its cache,
 compiling ``SOURCE`` into it first if it is missing, with the system C
 compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
-contraction, so the pass does numpy's float operations in numpy's order and
-returns the numpy pass's ``(path, certified)``. The cache is
+contraction, so each kernel does numpy's float operations in numpy's order
+and returns what its numpy counterpart returns. The cache is
 ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where that variable
 is unset, empty or relative; mode 0700); the file name is keyed by the
 CRC-32 of the source, the flags and the machine (``zlib`` is loaded
 already; ``hashlib`` would load OpenSSL), and the file is moved into place
-only once complete. If anything fails (no
+only once complete. Only a compile imports ``subprocess``, so a process
+that finds the library cached never loads it. If anything fails (no
 compiler, a compile error, an unwritable or shared cache directory, a load
-error), ``load()`` returns None from then on and the caller keeps the numpy pass; it does not try again in the same process.
+error), ``load()`` returns None from then on and the caller keeps the numpy
+code; it does not try again in the same process.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import shutil
 import threading
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,36 +105,113 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
     }
     return certified ? n - k : k - n;
 }
+
+/* cur[t] = max(cur[t], c) for t in [lo, n), where c = (row[t] + bonus[t]) + d,
+   or row[t] + d where bonus is NULL, setting arg[t] = s where c is strictly
+   larger, so that the first maximum stays, as np.argmax keeps it. Both selects
+   read one max, and arg holds doubles, the scores' width: so gcc vectorizes
+   the loop. */
+static inline void relax(double *restrict cur, double *restrict arg,
+                         const double *restrict row, const double *restrict bonus,
+                         double d, double s, long lo, long n)
+{
+    if (bonus)
+        for (long t = lo; t < n; t++) {
+            double c = (row[t] + bonus[t]) + d, o = cur[t];
+            double mx = c > o ? c : o;
+            arg[t] = mx == o ? arg[t] : s;
+            cur[t] = mx;
+        }
+    else
+        for (long t = lo; t < n; t++) {
+            double c = row[t] + d, o = cur[t];
+            double mx = c > o ? c : o;
+            arg[t] = mx == o ? arg[t] : s;
+            cur[t] = mx;
+        }
+}
+
+/* The per-length table over the later hops of the n x n table trans, hop
+   t -> j weighing trans[t, j] + bonus[j], or trans[t, j] alone where bonus is
+   NULL. Paths start from start at position 0. Writes to alpha[i] the best
+   score of an (i+1)-position path from 0 to n-1, and to row i of the zeroed
+   n x n psi (items of width 1, 2 or 4 bytes) each position's 1-based
+   predecessor on its best (i+1)-position prefix where that prefix's score is
+   finite. f is 3n doubles of scratch. Sources are pushed in ascending order,
+   so the sums and ties are the numpy table's. Returns 0, or, at the first
+   length whose prefix scores hold +inf, stops and returns the first length
+   the numpy table finds +inf or NaN at: this one if n-1 is +inf, else the
+   next. */
+long dagdecode_table(const double *restrict trans, const double *restrict bonus, long n,
+                     double start, double *restrict alpha, void *restrict psi, long width,
+                     double *restrict f)
+{
+    double *prev = f, *cur = f + n, *arg = f + 2 * n;
+    for (long t = 0; t < n; t++)
+        prev[t] = -INFINITY;
+    prev[0] = start;
+    alpha[0] = prev[n - 1];
+    for (long i = 1; i < n; i++) {
+        for (long t = i; t < n; t++) {
+            cur[t] = -INFINITY;
+            arg[t] = 0.0;
+        }
+        for (long s = i - 1; s + 1 < n; s++)
+            if (prev[s] > -INFINITY)
+                relax(cur, arg, trans + s * n, bonus, prev[s], (double)s, s + 1, n);
+        int overflow = 0;
+        for (long t = i; t < n; t++) {
+            unsigned long q = isfinite(cur[t]) ? (unsigned long)arg[t] + 1 : 0;
+            overflow |= cur[t] == INFINITY;
+            if (width == 1)
+                ((unsigned char *)psi)[i * n + t] = (unsigned char)q;
+            else if (width == 2)
+                ((unsigned short *)psi)[i * n + t] = (unsigned short)q;
+            else
+                ((unsigned int *)psi)[i * n + t] = (unsigned int)q;
+        }
+        alpha[i] = cur[n - 1];
+        if (overflow)
+            return cur[n - 1] == INFINITY ? i + 1 : i + 2;
+        double *next = prev;
+        prev = cur;
+        cur = next;
+    }
+    return 0;
+}
 """
 
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: None until the first ``load()``; then the pass, or False if it failed.
-_pass = None
+
+class Kernels(NamedTuple):
+    """The library's two kernels, as Python callables (see ``_bind``)."""
+
+    longest_path: Callable
+    table: Callable
+
+
+#: None until the first ``load()``; then the kernels, or False if they failed.
+_kernels = None
 #: Held by the first ``load()``, so that concurrent callers compile once.
 _lock = threading.Lock()
 
 
-def load():
-    """The compiled ``longest_path(trans, bonus, start, lam)``, or None if it cannot be had."""
-    global _pass
-    if _pass is None:
-        import subprocess  # here, not at the top: ``import dagdecode`` pays for none of this
-
+def load() -> Kernels | None:
+    """The compiled kernels, or None if they cannot be had."""
+    global _kernels
+    if _kernels is None:
         with _lock:
-            if _pass is None:
+            if _kernels is None:
                 try:
-                    _pass = _bind(ctypes.CDLL(str(_library())))
-                except (OSError, RuntimeError, ValueError, AttributeError,
-                        subprocess.SubprocessError):
-                    _pass = False
-    return _pass or None
+                    _kernels = _bind(ctypes.CDLL(str(_library())))
+                except (OSError, RuntimeError, ValueError, AttributeError):
+                    _kernels = False
+    return _kernels or None
 
 
 def _library() -> Path:
     """The cached shared library, compiled into place first if it is missing."""
-    import subprocess
-
     key = zlib.crc32("\0".join([SOURCE, *FLAGS, platform.machine()]).encode())
     # The XDG spec says to ignore a relative (or empty) XDG_CACHE_HOME.
     base = Path(os.environ.get("XDG_CACHE_HOME", ""))
@@ -142,6 +225,8 @@ def _library() -> Path:
         cc = shutil.which("cc")
         if cc is None:
             raise FileNotFoundError("no C compiler (cc) on PATH")
+        import subprocess  # only to compile: it costs a CLI run about 6 ms to import
+
         tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
         try:
             subprocess.run(
@@ -149,39 +234,69 @@ def _library() -> Path:
                 input=SOURCE, text=True, capture_output=True, check=True, timeout=60,
             )
             os.replace(tmp, lib)
+        except subprocess.SubprocessError as exc:
+            raise RuntimeError(f"cc failed: {exc}") from exc
         finally:
             tmp.unlink(missing_ok=True)
     return lib
 
 
-def _bind(lib):
-    fn = lib.dagdecode_pass
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
-                   ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
-    fn.restype = ctypes.c_long
+def _length(trans: np.ndarray, bonus: np.ndarray | None) -> int:
+    """L, once ``trans`` and ``bonus`` are known to be arrays a kernel can read in place.
+
+    Refuses (``ValueError``) a ``trans`` that is not a C-contiguous float64
+    L x L array with L >= 1 and a ``bonus`` that is neither None nor a
+    C-contiguous float64 array of length L.
+    """
+    n = len(trans)
+    if not (n >= 1 and trans.dtype == np.float64 and trans.shape == (n, n)
+            and trans.flags.c_contiguous):
+        raise ValueError("the kernels need C-contiguous float64 L x L transitions, L >= 1")
+    if bonus is not None and not (
+        bonus.dtype == np.float64 and bonus.shape == (n,) and bonus.flags.c_contiguous
+    ):
+        raise ValueError("the kernels need a C-contiguous float64 bonus of length L")
+    return n
+
+
+def _bind(lib) -> Kernels:
+    pass_fn = lib.dagdecode_pass
+    pass_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
+                        ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
+    pass_fn.restype = ctypes.c_long
+    table_fn = lib.dagdecode_table
+    table_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
+                         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+    table_fn.restype = ctypes.c_long
 
     def longest_path(trans: np.ndarray, bonus: np.ndarray | None, start: float, lam: float):
         """``decoders._numpy_pass(trans, bonus, start, lam)``, in one compiled call.
 
-        Reads the arrays in place, so refuses (``ValueError``) a ``trans``
-        that is not a C-contiguous float64 L x L array with L >= 1 and a
-        ``bonus`` that is neither None nor a C-contiguous float64 array of
-        length L.
+        Reads the arrays in place, so refuses (``ValueError``) those that
+        ``_length`` refuses.
         """
-        n = len(trans)
-        if not (n >= 1 and trans.dtype == np.float64 and trans.shape == (n, n)
-                and trans.flags.c_contiguous):
-            raise ValueError("the pass needs C-contiguous float64 L x L transitions, L >= 1")
-        if bonus is not None and not (
-            bonus.dtype == np.float64 and bonus.shape == (n,) and bonus.flags.c_contiguous
-        ):
-            raise ValueError("the pass needs a C-contiguous float64 bonus of length L")
+        n = _length(trans, bonus)
         # ctypes arrays, not numpy's: ``ndarray.ctypes`` costs microseconds per read.
         path = (ctypes.c_long * n)()
-        count = fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
-                   start, lam, (ctypes.c_double * n)(), path)
+        count = pass_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
+                        start, lam, (ctypes.c_double * n)(), path)
         if count == 0:
             return None, False
         return tuple(path[n - abs(count):]), count > 0
 
-    return longest_path
+    def table(trans: np.ndarray, bonus: np.ndarray | None, start: float):
+        """``decoders._numpy_table(trans, bonus, start)``, in one compiled call.
+
+        Returns the same ``(alpha, psi, overflow)``; where ``overflow`` is not
+        0, ``alpha`` and ``psi`` are left part-filled. Reads the arrays in
+        place, so refuses (``ValueError``) those that ``_length`` refuses.
+        """
+        n = _length(trans, bonus)
+        alpha = np.empty(n)
+        psi = np.zeros((n, n), dtype=np.min_scalar_type(n))
+        overflow = table_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
+                            start, alpha.ctypes.data, psi.ctypes.data, psi.itemsize,
+                            (ctypes.c_double * (3 * n))())
+        return alpha, psi, overflow
+
+    return Kernels(longest_path, table)

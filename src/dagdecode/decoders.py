@@ -21,14 +21,17 @@ builds the O(L^3) table. A JOINT weight that overflows never gets here (the
 instance refuses it); a path score that overflows to ``+inf`` makes the
 table raise ``InstanceValidationError`` in either mode.
 
-Each pass is one call of a small C function (``_cpass``): the forward fill,
-the margin, the backtrace and the certificate, reading the transitions in
-place and adding the JOINT bonus per column, so no L x L weights array is
-made. It is compiled with ``cc`` on the first such decode, never at import,
-and cached in ``$XDG_CACHE_HOME/dagdecode`` (default
-``~/.cache/dagdecode``). It returns what the numpy pass (``_numpy_pass``)
-returns; where it cannot be compiled or loaded, the process silently runs
-the numpy pass.
+Each pass, and each table build, is one call of a small C function
+(``_cpass``). The pass does the forward fill, the margin, the backtrace and
+the certificate; the table pushes each length's prefix scores forward and
+writes the backpointers in their final dtype. Both read the transitions in
+place and add the JOINT bonus per column, so neither makes an L x L weights
+array. They live in one library, compiled with ``cc`` the first time
+either runs, never at import (about 0.3 s, once per cache), and cached in
+``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). They
+return what the numpy pass (``_numpy_pass``) and the numpy table
+(``_numpy_table``) return; where the library cannot be compiled or loaded,
+the process silently runs the numpy code.
 
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection
@@ -104,45 +107,25 @@ class LengthSelection:
 
 
 def build_viterbi_table(instance: Instance, mode: TableMode) -> ViterbiTable:
-    """Fill the backpointers for every (length, end position) pair.
+    """Fill the best score per length and the backpointers per (length, end position).
 
-    One pass per prefix length; each pass maximizes over predecessors in a
-    single vectorized step and carries only its row of best prefix scores to
-    the next pass, keeping the terminal entry as that length's score.
-    Positions earlier than the prefix length are unreachable, and only hops
-    to strictly later positions are read. The predecessor argmax takes the
-    first (smallest) position on ties. A path score that overflows to
-    ``+inf`` raises ``InstanceValidationError``: from then on every longer
-    prefix scores ``+inf`` or NaN, so checking each length's score is exact.
+    One pass per prefix length; each pass maximizes over predecessors and
+    carries only its row of best prefix scores to the next pass, keeping the
+    terminal entry as that length's score. Positions earlier than the prefix
+    length are unreachable, and only hops to strictly later positions are
+    read. The predecessor argmax takes the first (smallest) position on ties.
+    A path score that overflows to ``+inf`` raises ``InstanceValidationError``.
+    The compiled table of ``_cpass`` runs where it loads; otherwise
+    ``_numpy_table`` does, with the same result.
     """
-    L = instance.L
-    alpha = np.full(L, LOG_ZERO)
-    psi = np.zeros((L, L), dtype=np.min_scalar_type(L))
-    # prev[k] is the best length-i prefix score ending at 0-based position i-1+k.
-    prev = np.full(L, LOG_ZERO)
-    prev[0] = 0.0
-    # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
-    # A copy, not a view: JOINT mode adds to it in place.
-    weights_t = later_hops(instance).T.copy()
-    if mode is TableMode.JOINT:
-        weights_t += instance.best_emission[:, None]
-        prev[0] = instance.best_emission[0]
-    alpha[0] = prev[-1]
-    # An overflowed prefix turns to +inf, then to NaN where it meets a -inf hop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, L):
-            # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
-            scores = weights_t[i:, i - 1 :] + prev[None, :]
-            best = np.argmax(scores, axis=1)
-            prev = scores[np.arange(L - i), best]
-            alpha[i] = prev[-1]
-            psi[i, i:] = np.where(np.isfinite(prev), best + i, 0)
-            # Drop this pass's scores before the next pass allocates its own, so
-            # that only one (L-i)x(L-i+1) temporary is alive at a time.
-            del scores
-    if not alpha.max() < np.inf:  # one reduction; NaN fails it too
-        n = int(np.argmax(~(alpha < np.inf))) + 1
-        raise InstanceValidationError([f"a path score overflows to +inf within {n} positions"])
+    kernels = _cpass.load()
+    alpha, psi, overflow = (kernels.table if kernels else _numpy_table)(
+        *_hop_weights(instance, mode)
+    )
+    if overflow:
+        raise InstanceValidationError(
+            [f"a path score overflows to +inf within {overflow} positions"]
+        )
     return ViterbiTable(alpha=alpha, psi=psi)
 
 
@@ -186,11 +169,19 @@ def backtrace(table: ViterbiTable, M: int) -> DecodingPath:
 
 
 def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
-    """Emit the most probable token at each path position and score the result."""
+    """Emit the most probable token at each path position and score the result.
+
+    A score that overflows to ``+inf`` raises ``InstanceValidationError``.
+    """
     # Scoring checks the path (PathShapeError), so it comes before any indexing.
-    path_lp = scoring.path_log_prob(instance, path)
-    pos = np.asarray(tuple(path), dtype=np.intp) - 1
-    emission_lp = float(np.sum(instance.best_emission[pos]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        path_lp = scoring.path_log_prob(instance, path)
+        pos = np.asarray(tuple(path), dtype=np.intp) - 1
+        emission_lp = float(np.sum(instance.best_emission[pos]))
+    for name, value in (("path_logprob", path_lp), ("emission_logprob", emission_lp),
+                        ("joint_logprob", path_lp + emission_lp)):
+        if not value < np.inf:  # NaN fails it too: a sum that overflowed, then met -inf
+            raise InstanceValidationError([f"the hypothesis' {name} overflows to +inf"])
     return Hypothesis(path, instance.best_token[pos].tolist(), path_lp, emission_lp)
 
 
@@ -294,10 +285,7 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     the pass finds no path; at ``lam > 0`` the margin's scale overflows, so
     the pass certifies nothing.
     """
-    trans, bonus, start = instance.log_transitions, None, 0.0
-    if mode is TableMode.JOINT:
-        bonus = instance.best_emission
-        start = bonus[0]
+    trans, bonus, start = _hop_weights(instance, mode)
     path, lam = None, 0.0
     if beta == 1:
         try:
@@ -317,6 +305,17 @@ def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesi
     if path is None or not certified:
         return None
     return argmax_hypothesis(instance, DecodingPath(path))
+
+
+def _hop_weights(instance: Instance, mode: TableMode):
+    """``(trans, bonus, start)`` of a ``mode`` table or pass.
+
+    A path scores ``start`` plus, per hop t -> u, ``trans[t, u]``, plus
+    ``bonus[u]`` unless ``bonus`` is None (PATH).
+    """
+    if mode is TableMode.JOINT:
+        return instance.log_transitions, instance.best_emission, instance.best_emission[0]
+    return instance.log_transitions, None, 0.0
 
 
 def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -> float:
@@ -339,7 +338,47 @@ def _longest_path(trans: np.ndarray, bonus, start: float, lam: float):
     overflows. The one compiled call of ``_cpass`` runs the whole pass where
     it loads; otherwise ``_numpy_pass`` does, with the same result.
     """
-    return (_cpass.load() or _numpy_pass)(trans, bonus, start, lam)
+    kernels = _cpass.load()
+    return (kernels.longest_path if kernels else _numpy_pass)(trans, bonus, start, lam)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled table is
+def _numpy_table(trans: np.ndarray, bonus, start: float):
+    """``build_viterbi_table`` in numpy: the fallback, and the compiled table's reference.
+
+    Paths start from ``start`` and hop t -> u weighs ``trans[t, u]``, plus
+    ``bonus[u]`` unless ``bonus`` is None (PATH). Returns ``(alpha, psi,
+    overflow)``: ``overflow`` is 0, or the first length whose score is
+    ``+inf`` or NaN. An overflowed prefix turns to ``+inf``, then to NaN where
+    it meets a ``-inf`` hop, so every longer length is flagged too and
+    checking each length's score is exact.
+    """
+    L = len(trans)
+    alpha = np.full(L, LOG_ZERO)
+    psi = np.zeros((L, L), dtype=np.min_scalar_type(L))
+    # prev[k] is the best length-i prefix score ending at 0-based position i-1+k.
+    prev = np.full(L, LOG_ZERO)
+    prev[0] = start
+    # weights_t[t, t'] scores the hop t' -> t so each pass reduces along axis 1.
+    # A copy, not a view: JOINT mode adds to it in place.
+    weights_t = later_hops(trans).T.copy()
+    if bonus is not None:
+        weights_t += bonus[:, None]
+    alpha[0] = prev[-1]
+    for i in range(1, L):
+        # Length i+1 prefixes end at 0-based positions >= i, coming from >= i-1.
+        scores = weights_t[i:, i - 1 :] + prev[None, :]
+        best = np.argmax(scores, axis=1)
+        prev = scores[np.arange(L - i), best]
+        alpha[i] = prev[-1]
+        psi[i, i:] = np.where(np.isfinite(prev), best + i, 0)
+        # Drop this pass's scores before the next pass allocates its own, so
+        # that only one (L-i)x(L-i+1) temporary is alive at a time.
+        del scores
+    overflow = 0
+    if not alpha.max() < np.inf:  # one reduction; NaN fails it too
+        overflow = int(np.argmax(~(alpha < np.inf))) + 1
+    return alpha, psi, overflow
 
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled pass is

@@ -280,6 +280,6 @@ def validate(instance: Instance) -> list[str]:
     return violations
 
 
-def later_hops(instance: Instance) -> np.ndarray:
+def later_hops(log_transitions: np.ndarray) -> np.ndarray:
     """``log_transitions`` with the diagonal and below (hops no path takes) set to ``-inf``."""
-    return np.where(np.tri(instance.L, dtype=bool), LOG_ZERO, instance.log_transitions)
+    return np.where(np.tri(len(log_transitions), dtype=bool), LOG_ZERO, log_transitions)

@@ -75,7 +75,7 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
         raise InfeasibleLengthError(
             f"no path of length {M} exists on a lattice of {L} positions"
         )
-    hops = later_hops(instance)
+    hops = later_hops(instance.log_transitions)
     forward = np.full(L, LOG_ZERO)
     forward[0] = instance.log_emissions[0, toks[0]]
     for i in range(1, M):

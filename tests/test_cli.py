@@ -285,6 +285,28 @@ class TestDecode:
             assert "a path score overflows to +inf within 3 positions" in err
 
 
+    def test_hypothesis_score_overflow_is_data_error(self, capsys, tmp_path):
+        # Each row's best emission is 0.8e308: a three-position hypothesis'
+        # emission_logprob overflows. A data error (exit 2), not a JSON error.
+        doc = {
+            "L": 3,
+            "V": 2,
+            "log_transitions": [[None, math.log(0.5), math.log(0.5)], [None, None, 0.0],
+                                [None] * 3],
+            "log_emissions": [[0.8e308, -1.0]] * 3,
+        }
+        path = tmp_path / "emission-overflow.json"
+        path.write_text(json.dumps(doc))
+        for strategy in ("greedy", "viterbi", "lookahead"):
+            code, out, err = run(
+                capsys,
+                ["decode", "--strategy", strategy, "--beta", "0.5", "--input", str(path),
+                 "--no-validate"],
+            )
+            assert (code, out) == (2, "")
+            assert "the hypothesis' emission_logprob overflows to +inf" in err
+
+
 class TestScore:
     def test_golden(self, capsys, i2_file):
         code, out, _ = run(

@@ -127,23 +127,23 @@ def _table_from_terminal_scores(scores: dict[int, float], L: int) -> ViterbiTabl
 
 
 class TestViterbiTable:
-    def test_i2_path_mode(self, i2):
+    def test_i2_path_mode(self, table_build, i2):
         table = build_viterbi_table(i2, TableMode.PATH)
         assert table.alpha[1] == 0.0
         assert table.predecessor(2, 2) == 1
         assert table.alpha[0] == LOG_ZERO
 
-    def test_i4_path_terminal_scores(self, i4):
+    def test_i4_path_terminal_scores(self, table_build, i4):
         table = build_viterbi_table(i4, TableMode.PATH)
         assert table.alpha[1] == pytest.approx(math.log(0.1), rel=1e-12)
         assert table.alpha[2] == pytest.approx(math.log(0.28), rel=1e-12)
         assert table.alpha[3] == pytest.approx(math.log(0.42), rel=1e-12)
 
-    def test_i4_joint_terminal_score(self, i4):
+    def test_i4_joint_terminal_score(self, table_build, i4):
         table = build_viterbi_table(i4, TableMode.JOINT)
         assert table.alpha[3] == pytest.approx(math.log(0.127008), rel=1e-12)
 
-    def test_backpointer_tie_breaks_to_smallest_position(self):
+    def test_backpointer_tie_breaks_to_smallest_position(self, table_build):
         # Two equal-probability predecessors for the terminal hop.
         inst = Instance.from_probs(
             [
@@ -165,7 +165,7 @@ class TestViterbiTable:
         ],
         ids=["L200", "L300"],
     )
-    def test_backpointers_in_narrowest_dtype(self, L, dtype, digest):
+    def test_backpointers_in_narrowest_dtype(self, table_build, L, dtype, digest):
         # The digest covers every backtraced path of both tables as int64
         # backpointers gave them.
         inst = random_instance(7, L=L, V=3, sparsity=0.3)
@@ -179,13 +179,22 @@ class TestViterbiTable:
         assert paths.hexdigest() == digest
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_build_peak_within_21_bytes_per_cell(self, mode):
-        # psi and the weights are 10 bytes per cell; one pass's scores may be
-        # alive at a time, and no L x L score matrix at all.
+    def test_build_peak_within_21_bytes_per_cell(self, monkeypatch, mode):
+        # The numpy build: psi and the weights are 10 bytes per cell; one
+        # pass's scores may be alive at a time, and no L x L score matrix at all.
+        monkeypatch.setattr(_cpass, "_kernels", False)
         L = 256
         assert build_peak(random_instance(5, L=L, V=8), mode) <= 21 * L * L
 
-    def test_joint_build_peaks_no_higher_than_path_build(self):
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_compiled_build_peak_within_3_bytes_per_cell(self, mode):
+        # psi (2 bytes per cell at this L) and a few L-vectors: the kernel reads
+        # the transitions in place and writes psi in its final dtype.
+        _compiled_or_skip()
+        L = 512
+        assert build_peak(random_instance(5, L=L, V=8), mode) <= 3 * L * L
+
+    def test_joint_build_peaks_no_higher_than_path_build(self, table_build):
         # Folding the emissions into the one transposed weights array keeps
         # the JOINT build's temporaries to the PATH build's.
         inst = random_instance(5, L=256, V=8)
@@ -193,14 +202,14 @@ class TestViterbiTable:
         assert peaks[TableMode.JOINT] <= 1.02 * peaks[TableMode.PATH]
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_kept_bytes_are_backpointers_and_one_score_per_length(self, mode):
+    def test_kept_bytes_are_backpointers_and_one_score_per_length(self, table_build, mode):
         L = 256
         table = build_viterbi_table(random_instance(5, L=L, V=8), mode)
         assert table.alpha.shape == (L,)
         assert table.alpha.nbytes + table.psi.nbytes <= 2 * L * L + 8 * L
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_backtraces_rescore_to_alpha(self, mode):
+    def test_backtraces_rescore_to_alpha(self, table_build, mode):
         for inst in random_batch(8, seed0=300, L=8, V=3, sparsity=0.3):
             table = build_viterbi_table(inst, mode)
             L = inst.L
@@ -221,7 +230,7 @@ class TestViterbiTable:
                     backtrace(table, length)
 
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_matches_oracle_per_length(self, mode):
+    def test_matches_oracle_per_length(self, table_build, mode):
         enumerate_best = (
             brute_force_best_path if mode is TableMode.PATH else brute_force_best_joint
         )
@@ -232,6 +241,45 @@ class TestViterbiTable:
                 assert math.exp(table.alpha[length - 1]) == pytest.approx(
                     best[length][1], rel=1e-12
                 )
+
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_compiled_table_identical(self, mode):
+        # Every L up to 39, then around the uint8/uint16 psi boundary at 256.
+        compiled = _compiled_or_skip()
+        for L in [*range(1, 40), 64, 128, 254, 255, 256, 257, 300]:
+            inst = random_instance(L, L=L, V=8, sparsity=0.3 if L % 4 == 0 else 0.0)
+            if L > 3 and L % 2:  # finite entries no path takes, on and below the diagonal
+                inst = with_transitions(inst, {(L // 2, L // 2): 5.0, (L - 1, 1): 9.0})
+            weights = decoders._hop_weights(inst, mode)
+            alpha, psi, overflow = compiled.table(*weights)
+            expected_alpha, expected_psi, expected_overflow = decoders._numpy_table(*weights)
+            assert (overflow, expected_overflow) == (0, 0)
+            assert psi.dtype == expected_psi.dtype == np.min_scalar_type(L)
+            assert alpha.tobytes() == expected_alpha.tobytes()
+            assert psi.tobytes() == expected_psi.tobytes()
+
+    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
+    def test_compiled_table_overflows_where_numpy_does(self, mode):
+        # Later hops up to +-1.7e308, some -inf, and finite entries below the
+        # diagonal: path scores often overflow. TestPathScoreOverflow's cases
+        # overflow at the terminal ("two-hops") and before it ("chain").
+        compiled = _compiled_or_skip()
+        rng = np.random.default_rng(4321)
+        overflows = set()
+        for _ in range(300):
+            L = int(rng.integers(2, 24))
+            trans = rng.uniform(-1.0, 1.0, (L, L)) * 1.7e308
+            trans[rng.random((L, L)) < 0.3] = LOG_ZERO
+            inst = _lattice(trans, np.log(rng.dirichlet(np.ones(3), size=L)))
+            weights = decoders._hop_weights(inst, mode)
+            alpha, psi, overflow = compiled.table(*weights)
+            expected_alpha, expected_psi, expected_overflow = decoders._numpy_table(*weights)
+            assert overflow == expected_overflow
+            if not overflow:
+                assert alpha.tobytes() == expected_alpha.tobytes()
+                assert psi.tobytes() == expected_psi.tobytes()
+            overflows.add(overflow > 0)
+        assert overflows == {True, False}
 
 
 class TestSelectLength:
@@ -304,6 +352,28 @@ class TestArgmaxHypothesis:
         assert hyp.path.positions == (1, 2, 4)
         assert hyp.joint_logprob == hyp.path_logprob + hyp.emission_logprob
         assert hyp.joint_logprob == joint_log_prob(i4, (1, 2, 4), hyp.tokens)
+
+    @pytest.mark.parametrize(
+        "hop, emission, name",
+        [(1e308, 0.0, "path_logprob"), (-1.0, 0.8e308, "emission_logprob"),
+         (0.45e308, 0.45e308, "joint_logprob")],
+    )
+    def test_overflowing_score_is_refused(self, hop, emission, name):
+        # Path 1 -> 2 -> 3 over hops of ``hop``, each position emitting
+        # ``emission`` at best: the named score overflows, without a warning.
+        trans = [[LOG_ZERO, hop, hop], [LOG_ZERO, LOG_ZERO, hop], [LOG_ZERO] * 3]
+        inst = _lattice(trans, np.array([[emission, -1.0]] * 3))
+        with pytest.raises(InstanceValidationError, match=f"the hypothesis' {name} overflows"):
+            argmax_hypothesis(inst, (1, 2, 3))
+
+    @pytest.mark.parametrize("strategy", ["greedy", "lookahead", "viterbi"])
+    def test_decode_refuses_an_overflowing_emission_score(self, strategy):
+        # Every strategy takes the path through all three positions.
+        half = math.log(0.5)
+        trans = [[LOG_ZERO, half, half], [LOG_ZERO, LOG_ZERO, 0.0], [LOG_ZERO] * 3]
+        inst = _lattice(trans, np.array([[0.8e308, -1.0]] * 3))
+        with pytest.raises(InstanceValidationError, match="emission_logprob overflows to"):
+            decode(inst, strategy, 0.5)
 
 
 class TestViterbiDecode:
@@ -495,7 +565,7 @@ STRATEGY_MODES = sorted(TABLE_MODES.items())
 
 
 def _compiled_or_skip():
-    """The compiled pass; it must load wherever ``cc`` is found."""
+    """The compiled kernels; they must load wherever ``cc`` is found."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     compiled = _cpass.load()
@@ -503,15 +573,29 @@ def _compiled_or_skip():
     return compiled
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def forward_pass(request, monkeypatch):
-    """Run the test once with each pass that ``decoders._longest_path`` dispatches to."""
+def _compiled_or_numpy(request, monkeypatch):
+    """The compiled kernels, loaded; or (``numpy``) none, as after a failed compile.
+
+    One ``load()`` binds both kernels, so this switches the longest-path pass
+    and the table build together.
+    """
     if request.param == "compiled":
         _compiled_or_skip()
     else:
-        # As after a failed compile: load() gives None, so the numpy pass runs.
-        monkeypatch.setattr(_cpass, "_pass", False)
+        monkeypatch.setattr(_cpass, "_kernels", False)
     return request.param
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def forward_pass(request, monkeypatch):
+    """Run the test once with each pass that ``decoders._longest_path`` dispatches to."""
+    return _compiled_or_numpy(request, monkeypatch)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def table_build(request, monkeypatch):
+    """Run the test once with each table that ``build_viterbi_table`` dispatches to."""
+    return _compiled_or_numpy(request, monkeypatch)
 
 
 class TestLongestPathRoute:
@@ -679,7 +763,7 @@ class TestPathScoreOverflow:
 @pytest.fixture
 def fresh_cpass(monkeypatch, tmp_path):
     """Reset ``_cpass`` to a new process's state, with an empty cache; its cache directory."""
-    monkeypatch.setattr(_cpass, "_pass", None)
+    monkeypatch.setattr(_cpass, "_kernels", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "dagdecode"
 
@@ -738,7 +822,7 @@ class TestForwardPasses:
         for trans, bonus, start in cases:
             for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
                 expected = decoders._numpy_pass(trans, bonus, start, lam)
-                assert compiled(trans, bonus, start, lam) == expected
+                assert compiled.longest_path(trans, bonus, start, lam) == expected
                 results.add(expected[1] if expected[0] else None)
         assert results == {True, False, None}  # certified, not certified, and no path
 
@@ -752,8 +836,12 @@ class TestForwardPasses:
         for bonus in (None, np.full(L, 1e307)):  # PATH, JOINT
             assert decoders._longest_path(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
 
-    def test_compiled_pass_reads_arrays_in_place_or_refuses(self):
-        compiled = _compiled_or_skip()
+    @pytest.mark.parametrize(
+        "kernel, scalars", [("longest_path", (0.0, 0.0)), ("table", (0.0,))],
+        ids=["longest_path", "table"],
+    )
+    def test_compiled_kernel_reads_arrays_in_place_or_refuses(self, kernel, scalars):
+        compiled = getattr(_compiled_or_skip(), kernel)
         inst = random_instance(3, L=16, V=4)
         trans, bonus = inst.log_transitions, inst.best_emission
         for bad_trans, bad_bonus in [
@@ -766,7 +854,7 @@ class TestForwardPasses:
             (trans, bonus.astype(np.float32)),
         ]:
             with pytest.raises(ValueError):
-                compiled(bad_trans, bad_bonus, 0.0, 0.0)
+                compiled(bad_trans, bad_bonus, *scalars)
 
     def test_instance_stores_c_ordered_tables(self, forward_pass):
         inst = random_instance(21, L=64, V=8, sparsity=0.3)
@@ -829,7 +917,7 @@ class TestForwardPasses:
         [lib] = fresh_cpass.iterdir()
         assert lib.suffix == ".so"
         # A new process loads it without a compiler.
-        monkeypatch.setattr(_cpass, "_pass", None)
+        monkeypatch.setattr(_cpass, "_kernels", None)
         monkeypatch.setattr(shutil, "which", lambda name: None)
         assert _cpass.load() is not None
 
@@ -852,7 +940,7 @@ class TestForwardPasses:
             "assert _cpass.load() is not None\n"
             "print('_hashlib' in sys.modules)\n"
             "_cpass.SOURCE += '\\n'\n"
-            "_cpass._pass = None\n"
+            "_cpass._kernels = None\n"
             "assert _cpass.load() is not None\n"
             "print(*sorted(os.listdir(os.environ['XDG_CACHE_HOME'] + '/dagdecode')))\n"
         )
@@ -884,7 +972,25 @@ class TestForwardPasses:
         [lib] = (home / ".cache" / "dagdecode").iterdir()
         assert lib.suffix == ".so"
 
-    def test_import_and_cli_decode_never_compile(self, tmp_path, i4):
+    def test_warm_cli_decode_imports_no_subprocess(self, tmp_path, i4):
+        # Only a compile needs subprocess, and importing it costs a CLI run
+        # milliseconds; this process has already filled the cache the child reads.
+        _compiled_or_skip()
+        path = tmp_path / "I4.json"
+        save_instance(i4, path)
+        code = (
+            "import sys\n"
+            "from dagdecode import _cpass\n"
+            "from dagdecode.cli import run_cli\n"
+            "assert run_cli(['decode', '--strategy', 'viterbi', '--input', sys.argv[1]]) == 0\n"
+            "assert _cpass._kernels\n"
+            "print('subprocess' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = run_python("-c", code, str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
+    def test_import_never_compiles_and_decode_falls_back(self, tmp_path, i4):
         # A stand-in compiler that only leaves a mark, first on PATH.
         bin_dir = tmp_path / "bin"
         bin_dir.mkdir()
@@ -896,12 +1002,19 @@ class TestForwardPasses:
         path = tmp_path / "I4.json"
         save_instance(i4, path)
         assert run_python("-c", "import dagdecode", **env).returncode == 0
-        for args in (["--strategy", "joint-viterbi"], ["--strategy", "viterbi", "--beta", "0"]):
-            proc = run_python("-m", "dagdecode.cli", "decode", *args, "--input", str(path), **env)
-            assert proc.returncode == 0, proc.stderr
         assert not cache.exists()
         assert not (bin_dir / "cc.ran").exists()
-        # A library decode at beta 1 does try to compile, and decodes with numpy.
+        # The CLI decode builds the table, so it tries to compile, and decodes
+        # with numpy to the bytes the compiled kernels give.
+        for args in (["--strategy", "joint-viterbi"], ["--strategy", "viterbi", "--beta", "0"]):
+            argv = ("-m", "dagdecode.cli", "decode", *args, "--input", str(path))
+            proc = run_python(*argv, **env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == run_python(*argv).stdout
+        assert (bin_dir / "cc.ran").exists()
+        assert (cache / "dagdecode").is_dir()
+        # So does a library decode at beta 1, which needs only the pass.
+        (bin_dir / "cc.ran").unlink()
         code = (
             "import sys, dagdecode\n"
             "inst = dagdecode.parse_instance(open(sys.argv[1]).read())\n"
@@ -911,4 +1024,3 @@ class TestForwardPasses:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "(1, 2, 3, 4)"
         assert (bin_dir / "cc.ran").exists()
-        assert (cache / "dagdecode").is_dir()
