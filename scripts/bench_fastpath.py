@@ -14,8 +14,11 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
 - median ``build_viterbi_table`` time per mode on one generated instance
   (seed 0, V=32) at each L of ``TABLE_LENGTHS``;
 - longest-path passes and table builds per call, counted in a separate
-  untimed sweep by wrapping ``decoders._longest_path`` (absent at a parent
-  without it: reported as null) and ``decoders.build_viterbi_table``;
+  untimed sweep. Passes are what ``decoders._longest_path_search`` reports
+  where it exists, with the reason of each fallback to the table; at a
+  parent without it they are counted by wrapping ``decoders._longest_path``
+  (absent at a parent without either), and the reasons are null. Builds
+  are counted by wrapping ``decoders.build_viterbi_table``;
 - acceptance criterion 7's ratio, measured as that test measures it;
 - whether the compiled pass (``dagdecode._cpass``) was in use
   (null at a parent without it).
@@ -104,19 +107,29 @@ def measure(src: str, reps: int) -> dict:
 
         return wrapper
 
-    has_passes = hasattr(decoders, "_longest_path")
-    if has_passes:
+    search = getattr(decoders, "_longest_path_search", None)
+    has_passes = search is not None or hasattr(decoders, "_longest_path")
+    if search is None and has_passes:
         decoders._longest_path = counted("passes", decoders._longest_path)
     decoders.build_viterbi_table = counted("builds", decoders.build_viterbi_table)
     work = {}
     for beta in BETAS:
         for strategy in STRATEGIES:
             counts.update(passes=0, builds=0)
+            reasons = None if search is None else {r.name: 0 for r in decoders.Fallback}
             for inst in instances:
+                if search is not None:
+                    _, reason, passes = search(inst, decoders.TABLE_MODES[strategy], beta)
+                    counts["passes"] += passes
+                    if reason is not None:
+                        reasons[decoders.Fallback(reason).name] += 1
                 decoders.decode(inst, strategy, beta)
             work[f"{strategy} beta={beta:g}"] = {
                 "passes_per_call": counts["passes"] / len(instances) if has_passes else None,
                 "table_builds_per_call": counts["builds"] / len(instances),
+                "fallbacks_by_reason_per_call": None if reasons is None else {
+                    name: n / len(instances) for name, n in reasons.items()
+                },
             }
 
     criterion7 = [

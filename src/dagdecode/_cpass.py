@@ -1,25 +1,31 @@
-"""The two compiled kernels, built from C and loaded with ``ctypes``.
+"""The three compiled kernels, built from C and loaded with ``ctypes``.
 
 ``longest_path`` runs one whole longest-path pass, what
 ``decoders._numpy_pass`` computes, in one call: the forward fill, the
 checks that the terminal is reached and that no value is NaN or ``+inf``,
-the rounding margin, the backtrace and its certificate. ``table`` fills the
-per-length Viterbi table, what ``decoders._numpy_table`` computes, writing
-the backpointers straight into their final dtype. On its first call, never
-at import, ``load()`` loads the library that holds both from its cache,
-compiling ``SOURCE`` into it first if it is missing, with the system C
-compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
-contraction, so each kernel does numpy's float operations in numpy's order
-and returns what its numpy counterpart returns. The cache is
-``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where that variable
-is unset, empty or relative; mode 0700); the file name is keyed by the
-CRC-32 of the source, the flags and the machine (``zlib`` is loaded
-already; ``hashlib`` would load OpenSSL), and the file is moved into place
-only once complete. Only a compile imports ``subprocess``, so a process
-that finds the library cached never loads it. If anything fails (no
-compiler, a compile error, an unwritable or shared cache directory, a load
-error), ``load()`` returns None from then on and the caller keeps the numpy
-code; it does not try again in the same process.
+the rounding margin, the backtrace and its certificate (decodes run it
+inside ``decode``; tests call it alone). ``decode`` runs
+the whole search of an exact decode at beta 0 or 1, what
+``decoders._numpy_decode`` computes, in one call: at beta 1 the walk that
+seeds the mean, then each pass (the same C function), each path's mean
+(numpy's pairwise sum, in numpy's order) and the stop rules; it returns
+the path or the reason there is none, and the number of passes. ``table``
+fills the per-length Viterbi table, what ``decoders._numpy_table``
+computes, writing the backpointers straight into their final dtype. On its
+first call, never at import, ``load()`` loads the library that holds all
+three from its cache, compiling ``SOURCE`` into it first if it is missing
+(about 0.4 s), with the system C compiler (``cc``) and ``FLAGS``: ``-O3``,
+but no fast-math and no contraction, so each kernel does numpy's float
+operations in numpy's order and returns what its numpy counterpart
+returns. The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode``
+where that variable is unset, empty or relative; mode 0700); the file name
+is keyed by the CRC-32 of the source, the flags and the machine (``zlib``
+is loaded already; ``hashlib`` would load OpenSSL), and the file is moved
+into place only once complete. Only a compile imports ``subprocess``, so a
+process that finds the library cached never loads it. If anything fails
+(no compiler, a compile error, an unwritable or shared cache directory, a
+load error), ``load()`` returns None from then on and the caller keeps the
+numpy code; it does not try again in the same process.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import numpy as np
 SOURCE = r"""
 #include <float.h>
 #include <math.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* max(a, b), keeping a NaN from either side as np.maximum does. Bitwise |,
    not ||, so that the compiler can vectorize the loops that call it. */
@@ -53,7 +61,10 @@ static inline double maximum(double a, double b)
    path[0 .. n-1] and returns how many there are, negated when the path is
    not certified; returns 0 where n-1 is unreachable or a value is NaN or
    +inf. The backtrace takes the first NaN, else the first maximum, as
-   np.argmax does. Every sum is numpy's, in numpy's order. */
+   np.argmax does. Every sum is numpy's, in numpy's order. Not inlined into
+   dagdecode_decode, nor is pairwise into itself: each copy would add about
+   0.1 s to the compile. */
+__attribute__((noinline))
 long dagdecode_pass(const double *restrict trans, const double *restrict bonus, long n,
                     double start, double lam, double *restrict f, long *restrict path)
 {
@@ -179,16 +190,135 @@ long dagdecode_table(const double *restrict trans, const double *restrict bonus,
     }
     return 0;
 }
+
+/* Why dagdecode_decode gives no path; it returns the reason negated. */
+enum { NO_PATH = 1, DEAD_END = 2, NOT_RISING = 3, NOT_CERTIFIED = 4 };
+
+/* numpy's pairwise sum of a[0 .. n-1]: below 8 items one loop from -0.0, up
+   to 128 eight accumulators, beyond that the sums of two halves split at a
+   multiple of 8. */
+__attribute__((noinline))
+static double pairwise(const double *restrict a, long n)
+{
+    if (n < 8) {
+        double s = -0.0;
+        for (long i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        long i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    long half = n / 2 - n / 2 % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* The score per position of the k-position path p (1-based positions) from
+   start, what decoders._mean_score gives: numpy's sum of a float64 array is
+   0.0 plus its pairwise sum. h is k - 1 doubles of scratch. */
+static double mean(const double *restrict trans, const double *restrict bonus, long n,
+                   double start, const long *restrict p, long k, double *restrict h)
+{
+    for (long i = 0; i + 1 < k; i++) {
+        long t = p[i] - 1, u = p[i + 1] - 1;
+        h[i] = bonus ? trans[t * n + u] + bonus[u] : trans[t * n + u];
+    }
+    return (start + (0.0 + pairwise(h, k - 1))) / (double)k;
+}
+
+/* decoders._walk: from position 0, step to the later j maximizing trans[t, j]
+   + bonus[j], or trans[t, j] alone where bonus is NULL, until n-1, taking the
+   first NaN, else the first maximum, as np.argmax does. Writes the 1-based
+   positions to p and returns how many, or 0 where the best step is -inf. */
+static long walk(const double *restrict trans, const double *restrict bonus, long n,
+                 long *restrict p)
+{
+    long k = 0, t = 0;
+    p[k++] = 1;
+    while (t + 1 < n) {
+        const double *row = trans + t * n;
+        double best_value = NAN;
+        long best = -1;
+        for (long j = t + 1; j < n; j++) {
+            double c = bonus ? row[j] + bonus[j] : row[j];
+            if (best < 0 || (best_value == best_value && (c > best_value || c != c))) {
+                best = j;
+                best_value = c;
+            }
+        }
+        if (best_value == -INFINITY)
+            return 0;
+        t = best;
+        p[k++] = t + 1;
+    }
+    return k;
+}
+
+/* decoders._numpy_decode: the best path at beta 0 (one pass), or at beta 1
+   the best per-position mean by Dinkelbach's method (walk, then pass and mean
+   until the path repeats), with its stop rules. f is n doubles and path 2n
+   longs of scratch. Writes the path's 1-based positions to the end of
+   path[0 .. n-1] and returns how many there are, or returns a reason above,
+   negated; writes the number of passes run to *passes. */
+long dagdecode_decode(const double *restrict trans, const double *restrict bonus, long n,
+                      double start, long beta, double *restrict f, long *restrict path,
+                      long *restrict passes)
+{
+    const long *prev = NULL;
+    long prev_k = 0, *cur = path;
+    double lam = 0.0;
+    *passes = 0;
+    if (beta) {
+        prev_k = walk(trans, bonus, n, path + n);
+        if (prev_k == 0)
+            return -DEAD_END;
+        prev = path + n;
+        lam = mean(trans, bonus, n, start, prev, prev_k, f);
+    }
+    for (;;) {
+        long count = dagdecode_pass(trans, bonus, n, start, lam, f, cur);
+        ++*passes;
+        if (count == 0)
+            return -NO_PATH;
+        long k = labs(count);
+        const long *p = cur + n - k;
+        if (!beta || (k == prev_k && memcmp(p, prev, k * sizeof *p) == 0)) {
+            if (count < 0)
+                return -NOT_CERTIFIED;
+            if (cur != path)
+                memcpy(path + n - k, p, k * sizeof *p);
+            return k;
+        }
+        double m = mean(trans, bonus, n, start, p, k, f);
+        if (!(m > lam))
+            return -NOT_RISING;
+        lam = m;
+        prev = p;
+        prev_k = k;
+        cur = cur == path ? path + n : path;
+    }
+}
 """
 
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class Kernels(NamedTuple):
-    """The library's two kernels, as Python callables (see ``_bind``)."""
+    """The library's three kernels, as Python callables (see ``_bind``)."""
 
     longest_path: Callable
     table: Callable
+    decode: Callable
 
 
 #: None until the first ``load()``; then the kernels, or False if they failed.
@@ -268,6 +398,10 @@ def _bind(lib) -> Kernels:
     table_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
     table_fn.restype = ctypes.c_long
+    decode_fn = lib.dagdecode_decode
+    decode_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
+                          ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    decode_fn.restype = ctypes.c_long
 
     def longest_path(trans: np.ndarray, bonus: np.ndarray | None, start: float, lam: float):
         """``decoders._numpy_pass(trans, bonus, start, lam)``, in one compiled call.
@@ -299,4 +433,20 @@ def _bind(lib) -> Kernels:
                             (ctypes.c_double * (3 * n))())
         return alpha, psi, overflow
 
-    return Kernels(longest_path, table)
+    def decode(trans: np.ndarray, bonus: np.ndarray | None, start: float, beta: float):
+        """``decoders._numpy_decode(trans, bonus, start, beta)``, in one compiled call.
+
+        Returns the same ``(path, reason, passes)``, ``reason`` as an int.
+        Reads the arrays in place, so refuses (``ValueError``) those that
+        ``_length`` refuses.
+        """
+        n = _length(trans, bonus)
+        path = (ctypes.c_long * (2 * n))()
+        passes = ctypes.c_long()
+        count = decode_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
+                          start, beta == 1, (ctypes.c_double * n)(), path, ctypes.byref(passes))
+        if count < 0:
+            return None, -count, passes.value
+        return tuple(path[n - count : n]), None, passes.value
+
+    return Kernels(longest_path, table, decode)

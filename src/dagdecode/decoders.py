@@ -13,23 +13,27 @@ Which algorithm runs: at ``beta`` exactly 0 or 1, ``decode``,
 ``viterbi_decode`` and ``joint_viterbi_decode`` find the table's answer
 with O(L^2) longest-path passes over the DAG (one pass at 0; Dinkelbach's
 parametric method for the per-token mean at 1) and no table. The answer is
-certified on the last pass; on a near-tie they build the table instead,
-so results, tie rules and errors are the table's. Any other ``beta``, and
-every caller that reads every length (``table_decode``,
-``decode_all_lengths``, the CLI ``decode``, analysis' optimum column),
-builds the O(L^3) table. A JOINT weight that overflows never gets here (the
-instance refuses it); a path score that overflows to ``+inf`` makes the
-table raise ``InstanceValidationError`` in either mode.
+certified on the last pass; on a near-tie, and wherever the search stops
+early (see ``Fallback``), they build the table instead, so results, tie
+rules and errors are the table's. Any other ``beta``, and every caller
+that reads every length (``table_decode``, ``decode_all_lengths``, the CLI
+``decode``, analysis' optimum column), builds the O(L^3) table. A JOINT
+weight that overflows never gets here (the instance refuses it); a path
+score that overflows to ``+inf`` makes the table raise
+``InstanceValidationError`` in either mode.
 
-Each pass, and each table build, is one call of a small C function
-(``_cpass``). The pass does the forward fill, the margin, the backtrace and
-the certificate; the table pushes each length's prefix scores forward and
-writes the backpointers in their final dtype. Both read the transitions in
-place and add the JOINT bonus per column, so neither makes an L x L weights
-array. They live in one library, compiled with ``cc`` the first time
-either runs, never at import (about 0.3 s, once per cache), and cached in
-``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). They
-return what the numpy pass (``_numpy_pass``) and the numpy table
+The whole search of an exact decode, and each table build, is one call of
+a small C function (``_cpass``). The search runs, at ``beta = 1``, the walk
+that seeds the mean, and then each pass, each path's mean and the stop
+rules; only the hypothesis is then scored in numpy. Each pass does the
+forward fill, the margin, the backtrace and the certificate; the table
+pushes each length's prefix scores forward and writes the backpointers in
+their final dtype. All read the transitions in place and add the JOINT
+bonus per column, so none makes an L x L weights array. They live in one
+library, compiled with ``cc`` the first time any runs, never at import
+(about 0.4 s, once per cache), and cached in ``$XDG_CACHE_HOME/dagdecode``
+(default ``~/.cache/dagdecode``). They return what the numpy search
+(``_numpy_decode``, built on ``_numpy_pass``) and the numpy table
 (``_numpy_table``) return; where the library cannot be compiled or loaded,
 the process silently runs the numpy code.
 
@@ -187,7 +191,7 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
 
 def greedy_decode(instance: Instance) -> Hypothesis:
     """Follow the most probable transition from each position until L."""
-    return argmax_hypothesis(instance, _walk(instance, 0.0))
+    return argmax_hypothesis(instance, _walk(instance.log_transitions, 0.0))
 
 
 def lookahead_decode(instance: Instance) -> Hypothesis:
@@ -197,7 +201,7 @@ def lookahead_decode(instance: Instance) -> Hypothesis:
     is fixed, so there is no transition to weigh it against). Ties prefer
     the earlier position, then the smaller token id.
     """
-    return argmax_hypothesis(instance, _walk(instance, instance.best_emission))
+    return argmax_hypothesis(instance, _walk(instance.log_transitions, instance.best_emission))
 
 
 def table_decode(
@@ -244,13 +248,13 @@ def decode(instance: Instance, strategy: str, beta: float = DEFAULT_BETA) -> Hyp
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _walk(instance: Instance, bonus) -> tuple[int, ...]:
-    """From position 1, step to the successor maximizing transition + ``bonus`` until L."""
-    L = instance.L
+def _walk(trans: np.ndarray, bonus) -> tuple[int, ...]:
+    """From position 1, step to the successor maximizing ``trans`` + ``bonus`` until L."""
+    L = len(trans)
     t = 1
     positions = [1]
     while t < L:
-        combined = instance.log_transitions[t - 1] + bonus
+        combined = trans[t - 1] + bonus
         # Only strictly later positions count, so the walk always moves on.
         nxt = t + int(np.argmax(combined[t:]))
         if combined[nxt] == LOG_ZERO:
@@ -263,48 +267,35 @@ def _walk(instance: Instance, bonus) -> tuple[int, ...]:
 def _exact_decode(instance: Instance, mode: TableMode, beta) -> Hypothesis:
     """``table_decode(instance, mode, beta)[0]``, by longest-path passes where they certify it."""
     if beta == 0 or beta == 1:
-        hyp = _longest_path_decode(instance, mode, beta)
-        if hyp is not None:
-            return hyp
+        path, _, _ = _longest_path_search(instance, mode, beta)
+        if path is not None:
+            return argmax_hypothesis(instance, DecodingPath(path))
     return table_decode(instance, mode, beta)[0]
 
 
-def _longest_path_decode(instance: Instance, mode: TableMode, beta) -> Hypothesis | None:
-    """The table's hypothesis at ``beta`` 0 or 1 without the table, or None.
+class Fallback(enum.IntEnum):
+    """Why ``_longest_path_search`` finds no path, so that the table must decode.
 
-    A path's score is the table's: the start cell plus one ``mode`` weight per
-    hop. At ``beta = 0`` one longest-path pass finds the best path. At
-    ``beta = 1`` the best per-token mean is found by Dinkelbach's method: each
-    pass charges every hop ``lam``, ``lam`` starts at the mean of the path
-    the greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
-    mean of each pass's path until the path repeats. None (build the table)
-    when the answer cannot be certified: an unreachable terminal, a walk
-    that dead-ends, a mean that stops rising, or a near-tie on the last
-    pass. A path score that overflows is one of these: at ``lam <= 0`` a
-    pass's scores bound every prefix's from above, so they overflow too and
-    the pass finds no path; at ``lam > 0`` the margin's scale overflows, so
-    the pass certifies nothing.
+    The compiled search's C enum holds the same values.
     """
-    trans, bonus, start = _hop_weights(instance, mode)
-    path, lam = None, 0.0
-    if beta == 1:
-        try:
-            path = _walk(instance, 0.0 if bonus is None else bonus)
-        except DeadEndError:
-            return None
-        lam = _mean_score(trans, bonus, start, path)
-    while True:
-        previous = path
-        path, certified = _longest_path(trans, bonus, start, lam)
-        if beta == 0 or path is None or path == previous:
-            break
-        mean = _mean_score(trans, bonus, start, path)
-        if not mean > lam:
-            return None
-        lam = mean
-    if path is None or not certified:
-        return None
-    return argmax_hypothesis(instance, DecodingPath(path))
+
+    NO_PATH = 1  #: a pass finds no path: L is unreachable, or a score overflows
+    DEAD_END = 2  #: the walk that seeds the beta = 1 mean dead-ends
+    NOT_RISING = 3  #: the mean stops rising before the path repeats
+    NOT_CERTIFIED = 4  #: the last pass's path is within rounding of another
+
+
+def _longest_path_search(instance: Instance, mode: TableMode, beta):
+    """``(path, reason, passes)``: the table's best path at ``beta`` 0 or 1, found by passes.
+
+    ``path`` is the tuple of positions, or None with a ``Fallback`` value
+    as ``reason`` (``reason`` is None where there is a path); ``passes`` counts
+    the longest-path passes run. The one compiled call of ``_cpass`` runs
+    the whole search where it loads; otherwise ``_numpy_decode`` does, with
+    the same result.
+    """
+    kernels = _cpass.load()
+    return (kernels.decode if kernels else _numpy_decode)(*_hop_weights(instance, mode), beta)
 
 
 def _hop_weights(instance: Instance, mode: TableMode):
@@ -319,7 +310,11 @@ def _hop_weights(instance: Instance, mode: TableMode):
 
 
 def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -> float:
-    """A path's score (start plus hop weights) per position."""
+    """A path's score (start plus hop weights) per position.
+
+    The hops are summed by numpy's pairwise sum, which the compiled search
+    copies.
+    """
     pos = np.asarray(path, dtype=np.intp) - 1
     hops = trans[pos[:-1], pos[1:]]
     if bonus is not None:
@@ -327,19 +322,6 @@ def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -
     # A sum that overflows gives +inf, or NaN from a -inf start; no pass certifies either.
     with np.errstate(over="ignore", invalid="ignore"):
         return float(start + hops.sum()) / len(path)
-
-
-def _longest_path(trans: np.ndarray, bonus, start: float, lam: float):
-    """Best path from position 1 to L when every hop costs ``lam``, and its certificate.
-
-    Hop t -> u weighs ``trans[t, u]``, plus ``bonus[u]`` unless ``bonus`` is
-    None (PATH), and the path starts from ``start``. Returns ``(path,
-    certified)``, or ``(None, False)`` if L is unreachable or a value
-    overflows. The one compiled call of ``_cpass`` runs the whole pass where
-    it loads; otherwise ``_numpy_pass`` does, with the same result.
-    """
-    kernels = _cpass.load()
-    return (kernels.longest_path if kernels else _numpy_pass)(trans, bonus, start, lam)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled table is
@@ -383,7 +365,12 @@ def _numpy_table(trans: np.ndarray, bonus, start: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled pass is
 def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
-    """``_longest_path`` in numpy: the fallback, and the compiled pass's reference.
+    """One longest-path pass in numpy: ``_numpy_decode``'s pass, and the compiled pass's reference.
+
+    Hop t -> u weighs ``trans[t, u]``, plus ``bonus[u]`` unless ``bonus`` is
+    None (PATH), less ``lam``, and the path starts from ``start``. Returns
+    ``(path, certified)``, or ``(None, False)`` if L is unreachable or a
+    value overflows.
 
     Values come first, in one forward pass: from each reachable t in turn,
     relax every later position, adding ``(trans[t, u] + bonus[u]) + (f[t] -
@@ -421,3 +408,43 @@ def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
         path.append(u + 1)
     path.reverse()
     return tuple(path), certified
+
+
+@np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled loop is
+def _numpy_decode(trans: np.ndarray, bonus, start: float, beta):
+    """``_longest_path_search`` in numpy: the fallback, and the compiled loop's reference.
+
+    A path scores ``start`` plus, per hop t -> u, ``trans[t, u]``, plus
+    ``bonus[u]`` unless ``bonus`` is None (PATH): the table's score. At
+    ``beta = 0`` one longest-path pass finds the best path. At ``beta = 1``
+    the best per-position mean is found by Dinkelbach's method: each pass
+    charges every hop ``lam``, ``lam`` starts at the mean of the path the
+    greedy (PATH) or lookahead (JOINT) walk follows, and is reset to the
+    mean of each pass's path until the path repeats. The path is kept only
+    when the last pass certifies it. A path score that overflows gives no
+    path either: at ``lam <= 0`` a pass's scores bound every prefix's from
+    above, so they overflow too and the pass finds no path; at ``lam > 0``
+    the margin's scale overflows, so the pass certifies nothing.
+    """
+    path, lam, passes = None, 0.0, 0
+    if beta == 1:
+        try:
+            path = _walk(trans, 0.0 if bonus is None else bonus)
+        except DeadEndError:
+            return None, Fallback.DEAD_END, passes
+        lam = _mean_score(trans, bonus, start, path)
+    while True:
+        previous = path
+        path, certified = _numpy_pass(trans, bonus, start, lam)
+        passes += 1
+        if path is None:
+            return None, Fallback.NO_PATH, passes
+        if beta == 0 or path == previous:
+            break
+        mean = _mean_score(trans, bonus, start, path)
+        if not mean > lam:
+            return None, Fallback.NOT_RISING, passes
+        lam = mean
+    if not certified:
+        return None, Fallback.NOT_CERTIFIED, passes
+    return path, None, passes

@@ -588,8 +588,14 @@ def _compiled_or_numpy(request, monkeypatch):
 
 @pytest.fixture(params=["compiled", "numpy"])
 def forward_pass(request, monkeypatch):
-    """Run the test once with each pass that ``decoders._longest_path`` dispatches to."""
+    """Run the test once with each search ``decoders._longest_path_search`` dispatches to."""
     return _compiled_or_numpy(request, monkeypatch)
+
+
+def _one_pass(trans, bonus, start, lam):
+    """One longest-path pass: compiled where the kernels load, else numpy's."""
+    kernels = _cpass.load()
+    return (kernels.longest_path if kernels else decoders._numpy_pass)(trans, bonus, start, lam)
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -629,6 +635,15 @@ class TestLongestPathRoute:
     def test_builds_no_table(self, table_builds, strategy, beta):
         decode(random_instance(64, L=64, V=8), strategy, beta)
         assert table_builds == []
+
+    @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
+    def test_equal_means_build_the_table(self, forward_pass, table_builds, strategy):
+        # The walk's path and the pass's tie on the mean, so the loop stops early.
+        inst = _lattice(_MEAN_TIE)
+        hyp = decode(inst, strategy, 1.0)
+        assert table_builds == [TABLE_MODES[strategy]]
+        expected = table_decode(inst, TABLE_MODES[strategy], 1.0)[0]
+        assert hypothesis_fields(hyp) == hypothesis_fields(expected)
 
     @pytest.mark.parametrize("strategy", sorted(TABLE_MODES))
     def test_other_beta_builds_the_table(self, table_builds, strategy):
@@ -700,6 +715,26 @@ class TestLongestPathRoute:
         assert expected[0] is ValueError
         assert _outcome(lambda: decode(i4, strategy, beta)) == expected
 
+    def test_one_and_two_positions_decode_as_table(self, forward_pass, i2):
+        no_start = np.full((1, 2), LOG_ZERO)  # every token impossible: JOINT starts at -inf
+        instances = [
+            Instance.from_probs([[0.0]], [[0.2, 0.8]]),
+            random_instance(5, L=1, V=3),
+            _lattice([[LOG_ZERO]], no_start),
+            i2,
+            random_instance(6, L=2, V=3),
+            _lattice([[LOG_ZERO, LOG_ZERO], [LOG_ZERO] * 2]),  # L unreachable
+            _lattice([[LOG_ZERO, 0.5], [LOG_ZERO] * 2], np.vstack([no_start, [[0.0, -1.0]]])),
+        ]
+        outcomes = set()
+        for inst in instances:
+            for strategy, mode in STRATEGY_MODES:
+                for beta in (0.0, 1.0):
+                    expected = _outcome(lambda: table_decode(inst, mode, beta)[0])
+                    assert _outcome(lambda: decode(inst, strategy, beta)) == expected
+                    outcomes.add(expected[0] if isinstance(expected[0], type) else "decoded")
+        assert outcomes == {"decoded", UnreachableTerminalError}
+
 
 def _lattice(trans, emis=None) -> Instance:
     """An unvalidated instance over ``trans``; one token, emitted with log-probability 0, by default."""
@@ -725,6 +760,24 @@ _OVERFLOWING_PATHS = {
 }
 
 
+def _huge_hop_lattices(count: int) -> list[Instance]:
+    """Unvalidated lattices, L 2 to 9, of later hops up to +-0.8e308, some -inf.
+
+    With finite entries below the diagonal. JOINT weights never overflow,
+    but path scores often do, and walks dead-end. The first ``count`` of one
+    fixed sequence.
+    """
+    rng = np.random.default_rng(1234)
+    lattices = []
+    for _ in range(count):
+        L = int(rng.integers(2, 10))
+        trans = rng.uniform(-0.8e308, 0.8e308, (L, L))
+        trans[rng.random((L, L)) < 0.3] = LOG_ZERO
+        trans[L - 1] = LOG_ZERO
+        lattices.append(_lattice(trans, np.log(rng.dirichlet(np.ones(3), size=L))))
+    return lattices
+
+
 class TestPathScoreOverflow:
     """A path score that overflows to +inf is bad data, in the table and on the fast path alike."""
 
@@ -740,18 +793,9 @@ class TestPathScoreOverflow:
         assert _outcome(lambda: decode(inst, strategy, beta)) == expected
 
     def test_huge_hops_decode_as_table(self, forward_pass):
-        # Later hops up to +-0.8e308, some -inf, and finite entries below the
-        # diagonal: JOINT weights never overflow, but path scores often do.
         # No decode may warn.
-        rng = np.random.default_rng(1234)
         outcomes = set()
-        for _ in range(150):
-            L = int(rng.integers(2, 10))
-            trans = rng.uniform(-0.8e308, 0.8e308, (L, L))
-            trans[rng.random((L, L)) < 0.3] = LOG_ZERO
-            trans[L - 1] = LOG_ZERO
-            emis = np.log(rng.dirichlet(np.ones(3), size=L))
-            inst = _lattice(trans, emis)
+        for inst in _huge_hop_lattices(150):
             for strategy, mode in STRATEGY_MODES:
                 for beta in (0.0, 1.0):
                     expected = _outcome(lambda: table_decode(inst, mode, beta)[0])
@@ -780,6 +824,55 @@ def _huge_weights(L: int, seed: int) -> np.ndarray:
 _NEAR_TIE = np.array([[LOG_ZERO, 0.1, 0.3], [LOG_ZERO, LOG_ZERO, 0.2], [LOG_ZERO] * 3])
 
 
+def _pass_cases(mode: TableMode) -> list:
+    """``(trans, bonus, start)`` of ``mode`` passes that reach every outcome of a pass.
+
+    Generated lattices at L 2 to 256, with and without an unreachable
+    position, funnels, each of the first 8 with a NaN hop, ``_NEAR_TIE``, a
+    JOINT hop that overflows as numpy adds it, and ``_huge_weights``.
+    """
+    instances = []
+    for seed in range(12):
+        L = (2, 7, 64, 256)[seed % 4]
+        inst = random_instance(seed, L=L, V=8, sparsity=0.5 if seed % 3 == 0 else 0.0)
+        if seed % 2 and L > 2:  # a position no path reaches, so its row is skipped
+            inst = with_transitions(inst, {(t, L // 2): LOG_ZERO for t in range(L)})
+        instances.append(inst)
+    for twin_rows in (True, False):  # forced ties, so some paths are not certified
+        instances += [funnel(random_instance(s, L=8 + s, V=3), 1 + s % 4, twin_rows)
+                      for s in range(4)]
+    cases = [decoders._hop_weights(inst, mode) for inst in instances]
+    for trans, bonus, start in cases[:8]:  # a NaN hop must not be lost in a maximum
+        if len(trans) > 2:
+            trans = trans.copy()
+            trans[0, len(trans) // 2] = np.nan
+            cases.append((trans, bonus, start))
+    cases.append((_NEAR_TIE, None if mode is TableMode.PATH else np.zeros(3), 0.0))
+    if mode is TableMode.JOINT:  # trans + bonus overflows first, as numpy adds them
+        cases.append((np.array([[LOG_ZERO, 1e308], [LOG_ZERO] * 2]), np.array([0.0, 1e308]),
+                      -1e308))
+    for L in (3, 17, 64):
+        bonus = None if mode is TableMode.PATH else np.full(L, 1e307)
+        cases.append((_huge_weights(L, L), bonus, 0.0))
+    return cases
+
+
+#: Paths 1 -> 3 and 1 -> 2 -> 3 share the mean -2; the walk takes the longer, the pass
+#: the shorter, so the mean stops rising.
+_MEAN_TIE = np.array([[LOG_ZERO, -1.0, -4.0], [LOG_ZERO, LOG_ZERO, -5.0], [LOG_ZERO] * 3])
+
+
+def _chain(L: int, seed: int) -> np.ndarray:
+    """Later hops of -3 to 0.5, but 1 to 1.1 from each position to the next.
+
+    So the walk and the best paths visit all L positions.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-3.0, 0.5, (L, L))
+    weights[np.arange(L - 1), np.arange(1, L)] = rng.uniform(1.0, 1.1, L - 1)
+    return np.where(np.tri(L, dtype=bool), LOG_ZERO, weights)
+
+
 class TestForwardPasses:
     """The compiled pass returns what the numpy pass returns; without it, numpy runs."""
 
@@ -789,35 +882,7 @@ class TestForwardPasses:
     @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
     def test_whole_pass_identical(self, mode):
         compiled = _compiled_or_skip()
-        instances = []
-        for seed in range(12):
-            L = (2, 7, 64, 256)[seed % 4]
-            inst = random_instance(seed, L=L, V=8, sparsity=0.5 if seed % 3 == 0 else 0.0)
-            if seed % 2 and L > 2:  # a position no path reaches, so its row is skipped
-                inst = with_transitions(inst, {(t, L // 2): LOG_ZERO for t in range(L)})
-            instances.append(inst)
-        for twin_rows in (True, False):  # forced ties, so some paths are not certified
-            instances += [funnel(random_instance(s, L=8 + s, V=3), 1 + s % 4, twin_rows)
-                          for s in range(4)]
-        cases = []
-        for inst in instances:
-            if mode is TableMode.JOINT:
-                bonus = inst.best_emission
-                cases.append((inst.log_transitions, bonus, bonus[0]))
-            else:
-                cases.append((inst.log_transitions, None, 0.0))
-        for trans, bonus, start in cases[:8]:  # a NaN hop must not be lost in a maximum
-            if len(trans) > 2:
-                trans = trans.copy()
-                trans[0, len(trans) // 2] = np.nan
-                cases.append((trans, bonus, start))
-        cases.append((_NEAR_TIE, None if mode is TableMode.PATH else np.zeros(3), 0.0))
-        if mode is TableMode.JOINT:  # trans + bonus overflows first, as numpy adds them
-            cases.append((np.array([[LOG_ZERO, 1e308], [LOG_ZERO] * 2]), np.array([0.0, 1e308]),
-                          -1e308))
-        for L in (3, 17, 64):
-            bonus = None if mode is TableMode.PATH else np.full(L, 1e307)
-            cases.append((_huge_weights(L, L), bonus, 0.0))
+        cases = _pass_cases(mode)
         results = set()
         for trans, bonus, start in cases:
             for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
@@ -826,19 +891,42 @@ class TestForwardPasses:
                 results.add(expected[1] if expected[0] else None)
         assert results == {True, False, None}  # certified, not certified, and no path
 
+    def test_whole_loop_identical(self, suite_500):
+        # (path, reason, passes) of the compiled loop and of the numpy loop.
+        compiled = _compiled_or_skip()
+        instances = [*suite_500, *_huge_hop_lattices(60)]
+        for twin_rows in (True, False):
+            instances += [funnel(random_instance(s, L=8 + s, V=3), 1 + s % 4, twin_rows)
+                          for s in range(8)]
+        # Paths of 12 and 200 positions: each branch of numpy's pairwise sum.
+        instances += [_lattice(_chain(L, L), np.log(np.full((L, 2), 0.5))) for L in (12, 200)]
+        instances.append(_lattice(_MEAN_TIE))
+        reasons, lengths = set(), set()
+        for mode in TableMode:
+            cases = [decoders._hop_weights(inst, mode) for inst in instances] + _pass_cases(mode)
+            for trans, bonus, start in cases:
+                for beta in (0.0, 1.0):
+                    expected = decoders._numpy_decode(trans, bonus, start, beta)
+                    assert compiled.decode(trans, bonus, start, beta) == expected
+                    reasons.add(expected[1])
+                    lengths.add(len(expected[0] or ()))
+        assert reasons == {None, *decoders.Fallback}
+        assert max(lengths) > 129 and any(9 < n <= 129 for n in lengths)
+
     def test_near_tie_is_not_certified(self, forward_pass):
         # Hops 1 -> 2 -> 3 score one ulp above 1 -> 3: the path is the best,
         # but within rounding of another.
-        assert decoders._longest_path(_NEAR_TIE, None, 0.0, 0.0) == ((1, 2, 3), False)
+        assert _one_pass(_NEAR_TIE, None, 0.0, 0.0) == ((1, 2, 3), False)
 
     @pytest.mark.parametrize("L", [17, 64])
     def test_overflow_gives_no_path(self, forward_pass, L):
         for bonus in (None, np.full(L, 1e307)):  # PATH, JOINT
-            assert decoders._longest_path(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
+            assert _one_pass(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
 
     @pytest.mark.parametrize(
-        "kernel, scalars", [("longest_path", (0.0, 0.0)), ("table", (0.0,))],
-        ids=["longest_path", "table"],
+        "kernel, scalars",
+        [("longest_path", (0.0, 0.0)), ("table", (0.0,)), ("decode", (0.0, 1.0))],
+        ids=["longest_path", "table", "decode"],
     )
     def test_compiled_kernel_reads_arrays_in_place_or_refuses(self, kernel, scalars):
         compiled = getattr(_compiled_or_skip(), kernel)

@@ -2,7 +2,8 @@
 
 Lattices come from the seeded generator (L <= 9, V <= 4, sparsity 0-0.5).
 At beta 0 and 1 ``decode`` finds the table's answer without the table; it
-is checked field by field against ``table_decode``, ties included.
+is checked field by field against ``table_decode``, ties included, and the
+compiled search behind it against the numpy one.
 The tie tests reshape a generated lattice so that two neighbouring
 positions ``a`` and ``b = a + 1`` share their incoming transition column
 and every path passes through one of them, which makes exact ties certain
@@ -12,8 +13,10 @@ were ``-inf``: no path can take them, and the oracle never does.
 """
 
 import math
+import shutil
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +35,7 @@ from dagdecode import (
     marginal_translation_log_prob,
     table_decode,
 )
+from dagdecode import _cpass, decoders
 from dagdecode.decoders import TABLE_MODES
 
 from conftest import funnel, hypothesis_fields, random_instance, with_transitions
@@ -153,6 +157,16 @@ def test_decode_matches_table_on_ties(funnel, strategy, beta):
     inst = funnel[0]
     expected = table_decode(inst, TABLE_MODES[strategy], beta)[0]
     assert hypothesis_fields(decode(inst, strategy, beta)) == hypothesis_fields(expected)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@examples
+@given(st.one_of(lattices(), st.booleans().flatmap(funnels).map(lambda f: f[0]), backward_hops()),
+       MODES, PASS_BETAS)
+def test_compiled_loop_matches_numpy_loop(inst, mode, beta):
+    weights = decoders._hop_weights(inst, mode)
+    expected = decoders._numpy_decode(*weights, beta)
+    assert _cpass.load().decode(*weights, beta) == expected
 
 
 @examples
