@@ -1,8 +1,8 @@
-"""Before/after timing of ``decode`` at beta 0 and 1, and of the table build.
+"""Before/after timing of ``decode`` at beta 0 and 1, the table build and marginal scoring.
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_fastpath.py --parent REV --out BENCH_fastpath.json
+    python3 scripts/bench_fastpath.py --parent REV --out BENCH_marginal.json
 
 ``REV``'s ``src/`` is exported with ``git archive`` into a temporary
 directory. Each round runs the parent and this checkout's ``src/`` in fresh
@@ -19,7 +19,16 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
   parent without it they are counted by wrapping ``decoders._longest_path``
   (absent at a parent without either), and the reasons are null. Builds
   are counted by wrapping ``decoders.build_viterbi_table``;
-- acceptance criterion 7's ratio, measured as that test measures it;
+- on the instances ``analyze`` uses at seed 0 (16 at L=64, V=16, generator
+  seeds 2000-2015, every 4th at sparsity 0.3), with the four strategies'
+  hypotheses at beta 1: the median time of the 64
+  ``marginal_translation_log_prob`` calls, one per hypothesis, and of one
+  whole ``compare_strategies(..., "marginal", beta=1.0)`` call; the forward
+  passes that call runs (counted by wrapping the public function) and the
+  ``repr`` of its per-strategy averages;
+- acceptance criterion 7's ratio, measured as that test measures it
+  (medians of single decodes), and as the mean-based ``benchmark`` call
+  it used before, both in the same run;
 - whether the compiled pass (``dagdecode._cpass``) was in use
   (null at a parent without it).
 
@@ -47,6 +56,11 @@ ROOT = Path(__file__).resolve().parent.parent
 STRATEGIES = ("viterbi", "joint-viterbi")
 BETAS = (0.0, 1.0)
 TABLE_LENGTHS = (64, 256, 512)
+ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
+#: Timed repetitions per ``--reps`` of the analyze calls, which are short.
+ANALYZE_REPS_PER_REP = 4
+#: Timed rounds over the three criterion 7 instances, as in the test.
+CRITERION7_REPS = 15
 
 
 def measure(src: str, reps: int) -> dict:
@@ -98,6 +112,8 @@ def measure(src: str, reps: int) -> dict:
                 samples.append(time.perf_counter() - start)
             table_ms[f"{mode.value} L={L}"] = statistics.median(samples) * 1e3
 
+    analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
+
     counts = {"passes": 0, "builds": 0}
 
     def counted(name, fn):
@@ -135,15 +151,83 @@ def measure(src: str, reps: int) -> dict:
     criterion7 = [
         generate_instance(GeneratorConfig(L=256, V=32, seed=99000 + k)) for k in range(3)
     ]
-    timings = dagdecode.benchmark(criterion7, ["greedy", "joint-viterbi"], repetitions=3, beta=1.0)
+    pair = ("greedy", "joint-viterbi")
+    for inst in criterion7:  # warm-up, as in the test
+        for strategy in pair:
+            decoders.decode(inst, strategy, 1.0)
+    samples = {strategy: [] for strategy in pair}
+    for _ in range(CRITERION7_REPS):
+        for inst in criterion7:
+            for strategy in pair:
+                start = time.perf_counter()
+                decoders.decode(inst, strategy, 1.0)
+                samples[strategy].append(time.perf_counter() - start)
+    greedy, joint = (statistics.median(samples[strategy]) for strategy in pair)
+    timings = dagdecode.benchmark(criterion7, list(pair), repetitions=3, beta=1.0)
     return {
         "compiled_pass": compiled_pass,
         "decode": times,
         "table_build_ms": table_ms,
         "work": work,
-        "criterion7_ratio": timings["joint-viterbi"].ratio_vs_baseline,
-        "criterion7_greedy_us": timings["greedy"].mean_seconds * 1e6,
-        "criterion7_joint_viterbi_ms": timings["joint-viterbi"].mean_seconds * 1e3,
+        "analyze": analyze,
+        "criterion7_ratio": joint / greedy,
+        "criterion7_greedy_us": greedy * 1e6,
+        "criterion7_joint_viterbi_ms": joint * 1e3,
+        "criterion7_ratio_of_means": timings["joint-viterbi"].ratio_vs_baseline,
+    }
+
+
+def measure_analyze(dagdecode, reps: int) -> dict:
+    """Marginal scoring on ``analyze``'s seed-0 instances, as perfbench generates them."""
+    from dagdecode import GeneratorConfig, generate_instance, scoring
+
+    instances = [
+        generate_instance(
+            GeneratorConfig(L=64, V=16, seed=2000 + k, sparsity=0.3 if k % 4 == 3 else 0.0)
+        )
+        for k in range(16)
+    ]
+    pairs = [
+        (inst, dagdecode.decode(inst, strategy, 1.0).tokens)
+        for inst in instances
+        for strategy in ANALYZE_STRATEGIES
+    ]
+
+    def score_each():
+        for inst, tokens in pairs:
+            scoring.marginal_translation_log_prob(inst, tokens)
+
+    def compare():
+        return dagdecode.compare_strategies(instances, ANALYZE_STRATEGIES, "marginal", beta=1.0)
+
+    timed = {}
+    for name, call in (("marginal_calls_ms", score_each), ("compare_strategies_ms", compare)):
+        call()  # warm-up
+        samples = []
+        for _ in range(reps):
+            start = time.perf_counter()
+            call()
+            samples.append(time.perf_counter() - start)
+        timed[name] = statistics.median(samples) * 1e3
+
+    passes = 0
+    marginal = scoring.marginal_translation_log_prob
+
+    def counted(instance, tokens):
+        nonlocal passes
+        passes += 1
+        return marginal(instance, tokens)
+
+    scoring.marginal_translation_log_prob = counted
+    try:
+        report = compare()
+    finally:
+        scoring.marginal_translation_log_prob = marginal
+    return {
+        **timed,
+        "marginal_calls": len(pairs),
+        "forward_passes_per_compare": passes,
+        "avg_logprob_repr": {k: repr(v) for k, v in report.per_strategy_avg_logprob.items()},
     }
 
 
@@ -179,12 +263,27 @@ def summarize(runs: list[dict]) -> dict:
             k: w["table_builds_per_call"] if w["passes_per_call"] is not None else None
             for k, w in runs[0]["work"].items()
         },
+        "analyze": {
+            "marginal_calls_ms": med([r["analyze"]["marginal_calls_ms"] for r in runs]),
+            "compare_strategies_ms": med([r["analyze"]["compare_strategies_ms"] for r in runs]),
+            "compare_strategies_ms_per_round": [
+                round(r["analyze"]["compare_strategies_ms"], 2) for r in runs
+            ],
+            **{
+                k: runs[0]["analyze"][k]
+                for k in ("marginal_calls", "forward_passes_per_compare", "avg_logprob_repr")
+            },
+        },
         "criterion7_ratio": {
             "median": med([r["criterion7_ratio"] for r in runs]),
             "per_round": [round(r["criterion7_ratio"], 2) for r in runs],
         },
         "criterion7_greedy_us": med([r["criterion7_greedy_us"] for r in runs]),
         "criterion7_joint_viterbi_ms": med([r["criterion7_joint_viterbi_ms"] for r in runs]),
+        "criterion7_ratio_of_means": {
+            "median": med([r["criterion7_ratio_of_means"] for r in runs]),
+            "per_round": [round(r["criterion7_ratio_of_means"], 2) for r in runs],
+        },
     }
 
 
@@ -244,7 +343,13 @@ def main(argv=None) -> int:
         "machine": machine(),
         "workload": "decode(inst, strategy, beta) on 8 generated L=256 V=32 instances "
         "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1; "
-        f"build_viterbi_table on one V=32 instance (seed 0) at L {TABLE_LENGTHS}",
+        f"build_viterbi_table on one V=32 instance (seed 0) at L {TABLE_LENGTHS}; "
+        "marginal scoring and compare_strategies on 16 L=64 V=16 instances "
+        "(seeds 2000-2015, every 4th at sparsity 0.3), 4 strategies, beta 1",
+        "identical_averages": all(
+            r["analyze"]["avg_logprob_repr"] == runs["parent"][0]["analyze"]["avg_logprob_repr"]
+            for r in runs["parent"] + runs["change"]
+        ),
         "rounds": args.rounds,
         "before": summarize(runs["parent"]),
         "after": summarize(runs["change"]),

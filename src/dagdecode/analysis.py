@@ -1,9 +1,10 @@
 """Cross-strategy comparison: average scores, win rates, and timings.
 
 Scores can be the joint log-probability of each hypothesis or the exact
-marginal log-probability of its token sequence. Two scores within 1e-9 of
-each other in log space (a probability ratio within ~1e-9) count as a tie
-and are reported separately from wins.
+marginal log-probability of its token sequence. When several strategies
+output the same token sequence for an instance, its marginal is computed
+once. Two scores within 1e-9 of each other in log space (a probability
+ratio within ~1e-9) count as a tie and are reported separately from wins.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .decoders import (
     decode,
     table_decode,
 )
-from .lattice import Hypothesis, Instance
+from .lattice import Instance
 
 SCORE_KINDS = ("joint", "marginal")
 
@@ -82,13 +83,17 @@ def compare_strategies(
     per_instance = [_decode_instance(inst, strategies, beta) for inst in instances]
     optima = [best for _, best in per_instance]
     outputs = {name: [hyps[name] for hyps, _ in per_instance] for name in strategies}
-    scores = {
-        name: [
-            _score(inst, hyp, score_kind)
-            for inst, hyp in zip(instances, outputs[name])
-        ]
-        for name in strategies
-    }
+    if score_kind == "joint":
+        scores = {name: [hyp.joint_logprob for hyp in outputs[name]] for name in strategies}
+    else:
+        scores = {name: [] for name in strategies}
+        for inst, (hyps, _) in zip(instances, per_instance):
+            marginals = {}  # each distinct token sequence is scored once per instance
+            for name in strategies:
+                tokens = hyps[name].tokens
+                if tokens not in marginals:
+                    marginals[tokens] = scoring.marginal_translation_log_prob(inst, tokens)
+                scores[name].append(marginals[tokens])
 
     avg = {name: float(np.mean(scores[name])) for name in strategies}
 
@@ -181,12 +186,6 @@ def check_strategies(strategies) -> list[str]:
     if duplicates:
         raise ValueError(f"duplicate strategies {duplicates}")
     return names
-
-
-def _score(instance: Instance, hyp: Hypothesis, score_kind: str) -> float:
-    if score_kind == "joint":
-        return hyp.joint_logprob
-    return scoring.marginal_translation_log_prob(instance, hyp.tokens)
 
 
 def _is_tie(a: float, b: float) -> bool:

@@ -4,6 +4,9 @@ Path probability is a product of transition entries along the hops, the
 conditional translation probability a product of emission entries at the
 visited positions, and the marginal translation probability sums the joint
 over every path of matching length via a sum-space forward recursion.
+The recursion visits only the cells from which a path can still reach the
+terminal with the tokens it has left, and its results are bit-identical to
+a recursion over every cell (see :func:`marginal_translation_log_prob`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleLengthError, PathShapeError, ShapeError
 from .lattice import DecodingPath, Instance, as_path, check_tokens, later_hops
-from .logmath import LOG_ZERO, entropy_nats, logsumexp
+from .logmath import entropy_nats, logsumexp
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,20 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
     """Log-probability of ``tokens`` summed over all paths of its length.
 
     Forward recursion over (target index, lattice position) with
-    log-sum-exp accumulation; the first row is seeded from position 1 only,
-    so every summed path starts at 1, and the answer is read at position L.
+    log-sum-exp accumulation; the first token sits at position 1 only, so
+    every summed path starts at 1, and the answer is read at position L.
+
+    With M tokens on L positions, token k (1-based) can sit only at
+    positions k..L-M+k, the first token only at 1 and the last only at L.
+    So each step reduces only the source rows the previous token can
+    occupy against the target columns the next token can. A cell left out
+    would add an exact ``+0.0`` to its column's sum, and each sum still runs
+    over the source rows in ascending order (the last step reduces a
+    two-column slice, because numpy sums a single column pairwise), so the
+    result is bit-identical to the recursion over every cell. The exception
+    is a score that overflows to ``+inf`` (emissions near 1e308 on an
+    unvalidated instance): both recursions then return ``+inf`` or NaN with
+    a RuntimeWarning, not always the same one.
 
     Raises InfeasibleLengthError when no path of that length can exist
     (more tokens than positions, or a single token on a multi-position
@@ -75,13 +90,19 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
         raise InfeasibleLengthError(
             f"no path of length {M} exists on a lattice of {L} positions"
         )
+    emissions = instance.log_emissions
+    if M == 1:
+        return float(emissions[0, toks[0]])
     hops = later_hops(instance.log_transitions)
-    forward = np.full(L, LOG_ZERO)
-    forward[0] = instance.log_emissions[0, toks[0]]
-    for i in range(1, M):
-        hopped = logsumexp(forward[:, None] + hops, axis=0)
-        forward = hopped + instance.log_emissions[:, toks[i]]
-    return float(forward[L - 1])
+    width = L - M + 1
+    # forward[k] is the log-score of the tokens so far ending at 0-based position start + k.
+    forward, start = emissions[0, toks[:1]], 0
+    for i in range(1, M - 1):
+        block = hops[start : start + len(forward), i : i + width]
+        forward = logsumexp(forward[:, None] + block, axis=0) + emissions[i : i + width, toks[i]]
+        start = i
+    block = hops[start : start + len(forward), L - 2 :]
+    return float(logsumexp(forward[:, None] + block, axis=0)[1] + emissions[L - 1, toks[-1]])
 
 
 def entropy_stats(instance: Instance) -> EntropyStats:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from dagdecode import GeneratorConfig, Instance, decoders, generate_instance
+from dagdecode.lattice import check_tokens, later_hops
+from dagdecode.logmath import LOG_ZERO, logsumexp
 
 # Two fixed lattices used across the suite. The 2-position one admits a
 # single path; the 4-position one has four paths whose products are easy
@@ -173,3 +175,21 @@ def funnel(inst: Instance, a: int, twin_rows: bool) -> Instance:
 def hypothesis_fields(hyp) -> tuple:
     """Everything a hypothesis holds, log-probabilities as their exact ``repr``."""
     return hyp.path.positions, hyp.tokens, repr(hyp.path_logprob), repr(hyp.emission_logprob)
+
+
+def reference_marginal(instance: Instance, tokens) -> float:
+    """The marginal by the forward recursion over every cell of every step.
+
+    The bit-identity reference for ``marginal_translation_log_prob``, which
+    reads only the cells that can still reach the terminal. Needs a feasible
+    token sequence.
+    """
+    toks = check_tokens(instance, tokens)
+    L = instance.L
+    hops = later_hops(instance.log_transitions)
+    forward = np.full(L, LOG_ZERO)
+    forward[0] = instance.log_emissions[0, toks[0]]
+    for tok in toks[1:]:
+        hopped = logsumexp(forward[:, None] + hops, axis=0)
+        forward = hopped + instance.log_emissions[:, tok]
+    return float(forward[L - 1])

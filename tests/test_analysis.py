@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dagdecode import (
@@ -7,12 +8,42 @@ from dagdecode import (
     TimingStats,
     benchmark,
     compare_strategies,
+    decode,
     greedy_decode,
     optimum_match_rate,
+    scoring,
     viterbi_decode,
 )
+from dagdecode.decoders import STRATEGIES
 
-from conftest import random_batch
+from conftest import random_batch, random_instance, reference_marginal
+
+
+def analyze_inputs():
+    """perfbench's seed-0 ``analyze`` instances: L=64, V=16, seeds 2000-2015, every 4th sparse."""
+    return [
+        random_instance(2000 + k, L=64, V=16, sparsity=0.3 if k % 4 == 3 else 0.0)
+        for k in range(16)
+    ]
+
+
+@pytest.fixture
+def marginal_work(monkeypatch) -> dict:
+    """Every forward pass (instance id, tokens) and every ``later_hops`` build of the marginal."""
+    work = {"passes": [], "hop_builds": 0}
+    marginal, later_hops = scoring.marginal_translation_log_prob, scoring.later_hops
+
+    def counted_marginal(instance, tokens):
+        work["passes"].append((id(instance), tuple(tokens)))
+        return marginal(instance, tokens)
+
+    def counted_hops(log_transitions):
+        work["hop_builds"] += 1
+        return later_hops(log_transitions)
+
+    monkeypatch.setattr(scoring, "marginal_translation_log_prob", counted_marginal)
+    monkeypatch.setattr(scoring, "later_hops", counted_hops)
+    return work
 
 
 class TestCompareStrategies:
@@ -92,6 +123,27 @@ class TestCompareStrategies:
         # Same dominance statement as the joint case, read on path scores.
         for inst in random_batch(100, seed0=2500, L=8, V=2):
             assert greedy_decode(inst).path_logprob <= viterbi_decode(inst, beta=0.0).path_logprob
+
+
+class TestMarginalScores:
+    def test_each_distinct_sequence_scored_once(self, marginal_work):
+        instances = analyze_inputs()
+        report = compare_strategies(instances, STRATEGIES, "marginal", beta=1.0)
+        hyps = {name: [decode(inst, name, 1.0) for inst in instances] for name in STRATEGIES}
+        distinct = {
+            (id(inst), hyp.tokens) for name in STRATEGIES for inst, hyp in zip(instances, hyps[name])
+        }
+        assert len(distinct) == 44  # of 64 hypotheses
+        assert sorted(marginal_work["passes"]) == sorted(distinct)
+        # Each pass is one public call, which masks the hops no path takes for itself.
+        assert marginal_work["hop_builds"] == len(distinct)
+        for name in STRATEGIES:
+            expected = np.mean([reference_marginal(i, h.tokens) for i, h in zip(instances, hyps[name])])
+            assert repr(report.per_strategy_avg_logprob[name]) == repr(float(expected))
+
+    def test_joint_scores_run_no_forward_pass(self, marginal_work):
+        compare_strategies(analyze_inputs(), STRATEGIES, "joint", beta=1.0)
+        assert marginal_work == {"passes": [], "hop_builds": 0}
 
 
 class TestOptimumMatchRate:

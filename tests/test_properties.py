@@ -38,7 +38,13 @@ from dagdecode import (
 from dagdecode import _cpass, decoders
 from dagdecode.decoders import TABLE_MODES
 
-from conftest import funnel, hypothesis_fields, random_instance, with_transitions
+from conftest import (
+    funnel,
+    hypothesis_fields,
+    random_instance,
+    reference_marginal,
+    with_transitions,
+)
 
 MODES = st.sampled_from([TableMode.PATH, TableMode.JOINT])
 TABLE_STRATEGIES = st.sampled_from(sorted(TABLE_MODES))
@@ -50,10 +56,10 @@ examples = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def lattices(draw, min_L=1):
+def lattices(draw, min_L=1, max_L=9):
     return random_instance(
         draw(st.integers(0, 2**32 - 1)),
-        L=draw(st.integers(min_L, 9)),
+        L=draw(st.integers(min_L, max_L)),
         V=draw(st.integers(1, 4)),
         sparsity=draw(st.floats(0.0, 0.5)),
     )
@@ -200,6 +206,14 @@ def test_marginal_ignores_entries_not_later(inst, data):
         assert logprob == -math.inf
     else:
         assert math.isclose(math.exp(logprob), exact, rel_tol=1e-9)
+
+
+@examples
+@given(st.one_of(lattices(), lattices(max_L=40), backward_hops()), st.data())
+def test_marginal_is_bit_identical_to_full_recursion(inst, data):
+    length = data.draw(st.integers(min(2, inst.L), inst.L))
+    tokens = data.draw(st.lists(st.integers(0, inst.V - 1), min_size=length, max_size=length))
+    assert marginal_translation_log_prob(inst, tokens).hex() == reference_marginal(inst, tokens).hex()
 
 
 @examples

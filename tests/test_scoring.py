@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dagdecode import (
     VocabError,
     argmax_emission,
     brute_force_marginal,
+    decode,
     entropy_stats,
     joint_log_prob,
     marginal_translation_log_prob,
@@ -18,7 +20,9 @@ from dagdecode import (
     translation_given_path_log_prob,
 )
 
-from conftest import random_batch, random_instance
+from dagdecode.decoders import STRATEGIES
+
+from conftest import random_batch, random_instance, reference_marginal
 
 
 class TestPathLogProb:
@@ -146,6 +150,92 @@ class TestMarginal:
             assert marginal_translation_log_prob(i4, tokens) >= joint_log_prob(
                 i4, path, tokens
             ) - 1e-9
+
+
+def assert_bit_identical(inst, tokens):
+    """The marginal equals the full recursion's bit for bit, and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = marginal_translation_log_prob(inst, tokens)
+    assert got.hex() == reference_marginal(inst, tokens).hex(), (inst.L, list(tokens))
+    return got
+
+
+class TestMarginalBitIdentity:
+    """The windowed recursion against the one over every cell (``reference_marginal``)."""
+
+    def test_every_strategy_hypothesis_on_suite(self, suite_500):
+        for inst in suite_500:
+            for strategy in STRATEGIES:
+                assert_bit_identical(inst, decode(inst, strategy).tokens)
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    def test_random_token_sequences(self, sparsity):
+        # Three tokens on many positions make the last step sum a long column,
+        # which must still be summed in row order.
+        rng = np.random.default_rng(5)
+        for k in range(60):
+            inst = random_instance(400 + k, L=int(rng.integers(2, 90)), V=4, sparsity=sparsity)
+            for M in {2, min(3, inst.L), inst.L, int(rng.integers(2, inst.L + 1))}:
+                assert_bit_identical(inst, rng.integers(0, inst.V, size=M))
+
+    def test_one_position_one_token(self):
+        for k in range(5):
+            inst = random_instance(k, L=1, V=3)
+            for token in range(3):
+                assert_bit_identical(inst, [token])
+
+    def test_long_lattices(self):
+        rng = np.random.default_rng(9)
+        for L in (150, 257):
+            inst = random_instance(L, L=L, V=3, sparsity=0.3)
+            for M in (2, 3, L // 2, L - 1, L):
+                assert_bit_identical(inst, rng.integers(0, inst.V, size=M))
+
+    def test_no_reachable_cell_is_minus_inf(self):
+        # Position 1 hops only to L, so no path of 3 or more tokens exists.
+        L = 6
+        trans = np.zeros((L, L))
+        trans[0, L - 1] = 1.0
+        for t in range(1, L - 1):
+            trans[t, t + 1 :] = 1.0 / (L - 1 - t)
+        inst = Instance.from_probs(trans, np.full((L, 2), 0.5))
+        assert assert_bit_identical(inst, [0, 1]) == pytest.approx(2 * math.log(0.5))
+        for M in range(3, L + 1):
+            assert assert_bit_identical(inst, [0] * M) == -math.inf
+
+    def test_unemittable_token_empties_a_window(self):
+        inst = random_instance(3, L=9, V=3)
+        emissions = np.exp(inst.log_emissions)
+        emissions[:, 2] = 0.0
+        emissions /= emissions.sum(axis=1, keepdims=True)
+        inst = Instance.from_probs(np.exp(inst.log_transitions), emissions)
+        for tokens in ([0, 2, 1], [0, 1, 2, 1, 0], [1, 0, 0, 0, 2], [2, 0]):
+            assert assert_bit_identical(inst, tokens) == -math.inf
+
+    def test_sparse_rows(self):
+        rng = np.random.default_rng(13)
+        for inst in random_batch(30, seed0=700, L=12, V=2, sparsity=0.85):
+            for M in range(2, inst.L + 1):
+                assert_bit_identical(inst, rng.integers(0, inst.V, size=M))
+
+    @pytest.mark.parametrize(
+        "tokens, error, message",
+        [
+            ([], ShapeError, "token sequence is empty"),
+            ([0] * 5, InfeasibleLengthError, "no path of length 5 exists on a lattice of 4 positions"),
+            ([0], InfeasibleLengthError, "no path of length 1 exists on a lattice of 4 positions"),
+            ([0, 2], VocabError, "token id 2 outside vocabulary of size 2"),
+            ([-1, 0], VocabError, "token id -1 outside vocabulary of size 2"),
+            ([2**70, 0], VocabError, f"token id {2**70} outside vocabulary of size 2"),
+            ([5] * 9, VocabError, "token id 5 outside vocabulary of size 2"),
+        ],
+    )
+    def test_errors_unchanged(self, i4, tokens, error, message):
+        with pytest.raises(error) as caught:
+            marginal_translation_log_prob(i4, tokens)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestEntropyStats:
