@@ -1,8 +1,8 @@
-"""Before/after timing of ``decode`` at beta 0 and 1, the table build and marginal scoring.
+"""Before/after timing of ``decode``, the table build, marginal scoring and reading a file.
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_fastpath.py --parent REV --out BENCH_marginal.json
+    python3 scripts/bench_fastpath.py --parent REV --out BENCH_parse.json
 
 ``REV``'s ``src/`` is exported with ``git archive`` into a temporary
 directory. Each round runs the parent and this checkout's ``src/`` in fresh
@@ -30,7 +30,14 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
   (medians of single decodes), and as the mean-based ``benchmark`` call
   it used before, both in the same run;
 - whether the compiled pass (``dagdecode._cpass``) was in use
-  (null at a parent without it).
+  (null at a parent without it);
+- on the four files ``cli-decode`` reads at seed 0 (L=512, V=32, generator
+  seeds 1000-1003, the last at sparsity 0.3; written once, by this
+  checkout), each file in a fresh interpreter per side: ``json.loads`` of
+  its text, ``instance_from_dict(..., run_validation=False)`` and
+  ``validate``, after the imports; and the wall time of a whole
+  ``dagdecode decode --strategy joint-viterbi`` subprocess on it, with the
+  sha256 of its stdout, which must match across sides.
 
 The compiled kernels are built, or found in their cache, during the
 warm-up, so no timed call pays for the compiler.
@@ -42,6 +49,7 @@ child from its seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -61,6 +69,10 @@ ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
 ANALYZE_REPS_PER_REP = 4
 #: Timed rounds over the three criterion 7 instances, as in the test.
 CRITERION7_REPS = 15
+#: ``cli-decode``'s seed-0 files: (generator seed, sparsity), at L=512, V=32.
+PARSE_FILES = ((1000, 0.0), (1001, 0.0), (1002, 0.0), (1003, 0.3))
+#: The ``dagdecode`` console script, as ``perfbench`` runs it.
+CONSOLE = "import sys; from dagdecode.cli import main; sys.argv[0] = 'dagdecode'; main()"
 
 
 def measure(src: str, reps: int) -> dict:
@@ -231,12 +243,93 @@ def measure_analyze(dagdecode, reps: int) -> dict:
     }
 
 
-def run_side(src: Path, reps: int) -> dict:
+def measure_parse(src: str, file: str) -> dict:
+    """The read stages of one file, timed in this (fresh) interpreter after its imports."""
+    sys.path.insert(0, src)
+    from dagdecode import io, lattice
+
+    text = Path(file).read_bytes().decode()
+    start = time.perf_counter()
+    doc = json.loads(text)
+    parsed = time.perf_counter()
+    instance = io.instance_from_dict(doc, run_validation=False)
+    built = time.perf_counter()
+    violations = lattice.validate(instance)
+    validated = time.perf_counter()
+    return {
+        "json_loads_ms": (parsed - start) * 1e3,
+        "instance_from_dict_ms": (built - parsed) * 1e3,
+        "validate_ms": (validated - built) * 1e3,
+        "violations": len(violations),
+    }
+
+
+def write_parse_inputs(directory: Path) -> list[Path]:
+    """``cli-decode``'s seed-0 files, written by this checkout's generator."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from dagdecode import GeneratorConfig, generate_instance, save_instance
+
+    files = []
+    for seed, sparsity in PARSE_FILES:
+        path = directory / f"inst_{seed}.json"
+        save_instance(
+            generate_instance(GeneratorConfig(L=512, V=32, seed=seed, sparsity=sparsity)), path
+        )
+        files.append(path)
+    return files
+
+
+def run_side(src: Path, reps: int, files: list[Path]) -> dict:
     out = subprocess.run(
         [sys.executable, __file__, "--measure", str(src), "--reps", str(reps)],
         check=True, capture_output=True, text=True, cwd=ROOT,
     )
-    return json.loads(out.stdout)
+    side = json.loads(out.stdout)
+    side["parse"], side["cli_decode"] = [], []
+    for file in files:
+        out = subprocess.run(
+            [sys.executable, __file__, "--measure-parse", str(src), str(file)],
+            check=True, capture_output=True, text=True, cwd=ROOT,
+        )
+        side["parse"].append(json.loads(out.stdout))
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", CONSOLE, "decode", "--strategy", "joint-viterbi",
+             "--input", str(file)],
+            check=True, capture_output=True, cwd=ROOT, env=env,
+        )
+        side["cli_decode"].append({
+            "wall_ms": (time.perf_counter() - start) * 1e3,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        })
+    return side
+
+
+def summarize_parse(runs: list[dict]) -> dict:
+    """Medians, over every file of every round, of the read stages and the CLI's wall time."""
+
+    def stage(name):
+        return [p[name] for r in runs for p in r["parse"]]
+
+    walls = sorted(c["wall_ms"] for r in runs for c in r["cli_decode"])
+    stages = {
+        name: round(statistics.median(stage(name)), 2)
+        for name in ("json_loads_ms", "instance_from_dict_ms", "validate_ms")
+    }
+    parse_validate = [
+        p["instance_from_dict_ms"] + p["validate_ms"] for r in runs for p in r["parse"]
+    ]
+    return {
+        **stages,
+        "instance_from_dict_plus_validate_ms": round(statistics.median(parse_validate), 2),
+        "violations": sorted({p["violations"] for r in runs for p in r["parse"]}),
+        "cli_decode_wall_ms": {
+            "median": round(statistics.median(walls), 1),
+            "p75": round(walls[int(0.75 * (len(walls) - 1))], 1),
+            "runs": len(walls),
+        },
+    }
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -312,9 +405,13 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=5, help="sweeps over the 8 instances per run")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--measure", help=argparse.SUPPRESS)
+    parser.add_argument("--measure-parse", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(args.measure, args.reps)))
+        return 0
+    if args.measure_parse:
+        print(json.dumps(measure_parse(*args.measure_parse)))
         return 0
     if not args.parent:
         parser.error("--parent is required")
@@ -329,10 +426,13 @@ def main(argv=None) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         sides = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        inputs = Path(tmp) / "inputs"
+        inputs.mkdir()
+        files = write_parse_inputs(inputs)
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_side(sides[side], args.reps))
+                runs[side].append(run_side(sides[side], args.reps, files))
     command = ["python3", "scripts/bench_fastpath.py", "--parent", args.parent,
                "--rounds", str(args.rounds), "--reps", str(args.reps)]
     if args.out:
@@ -345,14 +445,31 @@ def main(argv=None) -> int:
         "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1; "
         f"build_viterbi_table on one V=32 instance (seed 0) at L {TABLE_LENGTHS}; "
         "marginal scoring and compare_strategies on 16 L=64 V=16 instances "
-        "(seeds 2000-2015, every 4th at sparsity 0.3), 4 strategies, beta 1",
+        "(seeds 2000-2015, every 4th at sparsity 0.3), 4 strategies, beta 1; "
+        "reading and decoding the 4 L=512 V=32 files of cli-decode at seed 0 "
+        "(generator seeds 1000-1003, the last at sparsity 0.3), one fresh interpreter per file",
+        "identical_cli_stdout": len({
+            tuple(c["stdout_sha256"] for c in r["cli_decode"])
+            for r in runs["parent"] + runs["change"]
+        }) == 1,
         "identical_averages": all(
             r["analyze"]["avg_logprob_repr"] == runs["parent"][0]["analyze"]["avg_logprob_repr"]
             for r in runs["parent"] + runs["change"]
         ),
         "rounds": args.rounds,
-        "before": summarize(runs["parent"]),
-        "after": summarize(runs["change"]),
+        "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
+        "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},
+    }
+    before, after = doc["before"]["read"], doc["after"]["read"]
+    doc["read_speedup"] = {
+        "instance_from_dict_plus_validate": round(
+            before["instance_from_dict_plus_validate_ms"]
+            / after["instance_from_dict_plus_validate_ms"], 2
+        ),
+        "with_json_loads": round(
+            (before["json_loads_ms"] + before["instance_from_dict_plus_validate_ms"])
+            / (after["json_loads_ms"] + after["instance_from_dict_plus_validate_ms"]), 2
+        ),
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:

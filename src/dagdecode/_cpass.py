@@ -389,6 +389,11 @@ def _length(trans: np.ndarray, bonus: np.ndarray | None) -> int:
     return n
 
 
+#: The table's backpointer items by largest L, narrowest first: ``np.min_scalar_type(L)``.
+_PSI_ITEMS = ((0xFF, ctypes.c_uint8, np.uint8), (0xFFFF, ctypes.c_uint16, np.uint16),
+              (0xFFFFFFFF, ctypes.c_uint32, np.uint32))
+
+
 def _bind(lib) -> Kernels:
     pass_fn = lib.dagdecode_pass
     pass_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
@@ -426,12 +431,13 @@ def _bind(lib) -> Kernels:
         place, so refuses (``ValueError``) those that ``_length`` refuses.
         """
         n = _length(trans, bonus)
-        alpha = np.empty(n)
-        psi = np.zeros((n, n), dtype=np.min_scalar_type(n))
+        # Zeroed ctypes buffers, viewed by numpy after the call: no ``ndarray.ctypes`` read.
+        item, dtype = next((c, d) for top, c, d in _PSI_ITEMS if n <= top)
+        alpha, psi = (ctypes.c_double * n)(), (item * (n * n))()
         overflow = table_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
-                            start, alpha.ctypes.data, psi.ctypes.data, psi.itemsize,
+                            start, alpha, psi, ctypes.sizeof(item),
                             (ctypes.c_double * (3 * n))())
-        return alpha, psi, overflow
+        return np.frombuffer(alpha), np.frombuffer(psi, dtype).reshape(n, n), overflow
 
     def decode(trans: np.ndarray, bonus: np.ndarray | None, start: float, beta: float):
         """``decoders._numpy_decode(trans, bonus, start, beta)``, in one compiled call.

@@ -4,6 +4,12 @@ Instances are JSON documents with keys "L", "V", "log_transitions",
 "log_emissions", and optional "vocab" and "meta". ``-inf`` is encoded as
 null so the files stay portable; every finite entry round-trips
 bit-exactly through Python's shortest-repr float formatting.
+
+A table of plain ints, floats and nulls is read in one numpy conversion.
+Only a table with any other cell, or with a cell that conversion cannot
+take (an int beyond float range, a NaN or an infinity), is read cell by
+cell, to name the first bad ``[i][j]``; either way the table, or the
+error and its message, is the same.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +65,15 @@ def generate_instance(config: GeneratorConfig) -> Instance:
     L, V = config.L, config.V
 
     transitions = np.zeros((L, L))
+    concentrations = np.full(L, config.transition_concentration)
     for t in range(L - 1):
-        successors = np.arange(t + 1, L)
-        forbid = int(config.sparsity * len(successors))
-        forbid = min(forbid, len(successors) - 1)
+        later = L - 1 - t
+        forbid = min(int(config.sparsity * later), later - 1)
+        successors = slice(t + 1, L)
         if forbid:
-            dropped = rng.choice(len(successors), size=forbid, replace=False)
-            successors = np.delete(successors, dropped)
-        row = rng.dirichlet(np.full(len(successors), config.transition_concentration))
-        transitions[t, successors] = row
+            dropped = rng.choice(later, size=forbid, replace=False)
+            successors = np.delete(np.arange(t + 1, L), dropped)
+        transitions[t, successors] = rng.dirichlet(concentrations[: later - forbid])
 
     emissions = rng.dirichlet(np.full(V, config.emission_concentration), size=L)
 
@@ -153,13 +160,41 @@ def _table_to_lists(table: np.ndarray) -> list[list[float | None]]:
     return np.where(table == LOG_ZERO, None, table).tolist()
 
 
+#: The cell types read in one conversion. Any other (``bool``, ``str``, a
+#: numpy scalar, a subclass) sends the table to the per-cell loop.
+_PLAIN_CELLS = frozenset({float, int, type(None)})
+
+
 def _lists_to_table(rows, name: str) -> np.ndarray:
+    """The float64 table of a list of equal-length rows, None read as ``-inf``.
+
+    Raises InstanceFormatError for anything else, naming the first bad cell
+    (see the module docstring for the two routes).
+    """
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{name} must be a list of rows")
     width = {len(r) for r in rows}
     if len(width) > 1:
         raise InstanceFormatError(f"{name} rows have inconsistent lengths {sorted(width)}")
-    out = np.full((len(rows), width.pop() if width else 0), LOG_ZERO)
+    shape = (len(rows), width.pop() if width else 0)
+    if set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS:
+        try:  # None becomes NaN; an int beyond float range raises OverflowError
+            out = np.fromiter(chain.from_iterable(rows), np.float64, shape[0] * shape[1])
+        except OverflowError:
+            pass
+        else:
+            missing = np.isfinite(out)
+            np.logical_not(missing, out=missing)
+            # As many non-finite cells as None cells: no float NaN or infinity.
+            if np.count_nonzero(missing) == sum(row.count(None) for row in rows):
+                np.copyto(out, LOG_ZERO, where=missing)
+                return out.reshape(shape)
+    return _checked_cells(rows, name, shape)
+
+
+def _checked_cells(rows: list, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """``_lists_to_table`` cell by cell, raising at the first cell it refuses."""
+    out = np.full(shape, LOG_ZERO)
     try:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):

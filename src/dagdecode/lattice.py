@@ -230,6 +230,11 @@ def check_tokens(instance: Instance, tokens) -> np.ndarray:
     return toks
 
 
+#: Rows per block in :func:`validate`: its temporaries hold a few blocks of
+#: rows, so they grow with L, never with L**2.
+VALIDATE_BLOCK_ROWS = 32
+
+
 def validate(instance: Instance) -> list[str]:
     """Check the distribution invariants; return one message per violation.
 
@@ -240,43 +245,77 @@ def validate(instance: Instance) -> list[str]:
     normalizes to 1 within ``NORMALIZATION_TOL`` (in log space). Row L must
     be entirely ``-inf``, and every emission row must normalize. NaN and
     ``+inf`` never get this far: :class:`Instance` refuses them.
+
+    The checks run in numpy over blocks of ``VALIDATE_BLOCK_ROWS`` rows. A
+    block's log-sum-exp need not round as one row's does, so each row it
+    flags (a finite entry on or below the diagonal, no finite successor, or
+    a residual that is not finite or exceeds ``NORMALIZATION_TOL / 2``) is
+    checked again on its own, and only that check decides and words the
+    message. A row the block passes has a residual within ``TOL / 2`` plus
+    rounding, so the row check would pass it too.
     """
-    violations: list[str] = []
     L = instance.L
-    trans = instance.log_transitions
+    trans, emis = instance.log_transitions, instance.log_emissions
+    violations: list[str] = []
+    columns = np.arange(L)
+    for lo in range(0, L - 1, VALIDATE_BLOCK_ROWS):
+        block = trans[lo : min(lo + VALIDATE_BLOCK_ROWS, L - 1)]
+        early = columns <= np.arange(lo, lo + len(block))[:, None]
+        flagged = (np.isfinite(block) & early).any(axis=1)
+        flagged |= _loose(np.where(early, LOG_ZERO, block))
+        for t in (lo + np.flatnonzero(flagged)).tolist():
+            violations.extend(_transition_row_violations(trans[t], t))
+    if np.any(np.isfinite(trans[L - 1])):
+        violations.append(f"transition row {L}: terminal row must be all -inf")
+    for lo in range(0, L, VALIDATE_BLOCK_ROWS):
+        block = emis[lo : lo + VALIDATE_BLOCK_ROWS].copy()
+        for t in (lo + np.flatnonzero(_loose(block))).tolist():
+            residual = logsumexp(emis[t])
+            if not np.isfinite(residual) or abs(residual) > NORMALIZATION_TOL:
+                violations.append(
+                    f"emission row {t + 1}: normalization residual {residual:.3e} "
+                    f"exceeds {NORMALIZATION_TOL:.0e}"
+                )
+    return violations
 
-    for t in range(L):
-        row = trans[t]
-        if t == L - 1:
-            if np.any(np.isfinite(row)):
-                violations.append(f"transition row {L}: terminal row must be all -inf")
-            continue
-        bad = np.isfinite(row[: t + 1])
-        if np.any(bad):
-            where = np.flatnonzero(bad) + 1
-            violations.append(
-                f"transition row {t + 1}: finite entries at non-later positions "
-                f"{[int(w) for w in where]}"
-            )
-        successors = row[t + 1 :]
-        if not np.any(np.isfinite(successors)):
-            violations.append(f"transition row {t + 1}: dead end (no finite successor)")
-            continue
-        residual = logsumexp(successors)
-        if abs(residual) > NORMALIZATION_TOL:
-            violations.append(
-                f"transition row {t + 1}: normalization residual {residual:.3e} "
-                f"exceeds {NORMALIZATION_TOL:.0e}"
-            )
 
-    for t in range(L):
-        residual = logsumexp(instance.log_emissions[t])
-        if not np.isfinite(residual) or abs(residual) > NORMALIZATION_TOL:
-            violations.append(
-                f"emission row {t + 1}: normalization residual {residual:.3e} "
-                f"exceeds {NORMALIZATION_TOL:.0e}"
-            )
+def _loose(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether its log-sum-exp residual may exceed ``NORMALIZATION_TOL``.
 
+    True where the blocked residual is not finite or exceeds half the
+    tolerance. Overwrites ``rows``, so that the block needs no second
+    temporary. Quiet: a row whose own check warns (an overflow in its
+    shift) is flagged, and warns when that check runs.
+    """
+    top = rows.max(axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(all="ignore"):
+        np.subtract(rows, shift[:, None], out=rows)
+        np.exp(rows, out=rows)
+        residual = np.log(rows.sum(axis=1)) + shift
+    return ~(np.abs(residual) <= NORMALIZATION_TOL / 2)
+
+
+def _transition_row_violations(row: np.ndarray, t: int) -> list[str]:
+    """The messages for transition row ``t`` (0-based) of L, ``t < L - 1``."""
+    violations = []
+    bad = np.isfinite(row[: t + 1])
+    if np.any(bad):
+        where = np.flatnonzero(bad) + 1
+        violations.append(
+            f"transition row {t + 1}: finite entries at non-later positions "
+            f"{[int(w) for w in where]}"
+        )
+    successors = row[t + 1 :]
+    if not np.any(np.isfinite(successors)):
+        violations.append(f"transition row {t + 1}: dead end (no finite successor)")
+        return violations
+    residual = logsumexp(successors)
+    if abs(residual) > NORMALIZATION_TOL:
+        violations.append(
+            f"transition row {t + 1}: normalization residual {residual:.3e} "
+            f"exceeds {NORMALIZATION_TOL:.0e}"
+        )
     return violations
 
 

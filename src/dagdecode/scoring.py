@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLengthError, PathShapeError, ShapeError
+from .errors import (
+    InfeasibleLengthError,
+    InstanceValidationError,
+    PathShapeError,
+    ShapeError,
+)
 from .lattice import DecodingPath, Instance, as_path, check_tokens, later_hops
 from .logmath import entropy_nats, logsumexp
 
@@ -43,13 +48,18 @@ def path_log_prob(instance: Instance, path) -> float:
 
 
 def translation_given_path_log_prob(instance: Instance, path, tokens) -> float:
-    """Log-probability of emitting ``tokens`` along ``path``."""
+    """Log-probability of emitting ``tokens`` along ``path``.
+
+    A sum that overflows to ``+inf`` raises InstanceValidationError.
+    """
     p = _checked_path(instance, path)
     toks = check_tokens(instance, tokens)
     if len(toks) != len(p):
         raise ShapeError(f"{len(toks)} tokens for a path of length {len(p)}")
     pos = np.asarray(p.positions, dtype=np.intp) - 1
-    return float(np.sum(instance.log_emissions[pos, toks]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        emission_lp = np.sum(instance.log_emissions[pos, toks])
+    return _finite_score(emission_lp, "emission log-probability")
 
 
 def joint_log_prob(instance: Instance, path, tokens) -> float:
@@ -73,10 +83,9 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
     would add an exact ``+0.0`` to its column's sum, and each sum still runs
     over the source rows in ascending order (the last step reduces a
     two-column slice, because numpy sums a single column pairwise), so the
-    result is bit-identical to the recursion over every cell. The exception
-    is a score that overflows to ``+inf`` (emissions near 1e308 on an
-    unvalidated instance): both recursions then return ``+inf`` or NaN with
-    a RuntimeWarning, not always the same one.
+    result is bit-identical to the recursion over every cell. A score that
+    overflows to ``+inf`` (emissions near 1e308 on an unvalidated instance)
+    raises InstanceValidationError instead.
 
     Raises InfeasibleLengthError when no path of that length can exist
     (more tokens than positions, or a single token on a multi-position
@@ -97,12 +106,15 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
     width = L - M + 1
     # forward[k] is the log-score of the tokens so far ending at 0-based position start + k.
     forward, start = emissions[0, toks[:1]], 0
-    for i in range(1, M - 1):
-        block = hops[start : start + len(forward), i : i + width]
-        forward = logsumexp(forward[:, None] + block, axis=0) + emissions[i : i + width, toks[i]]
-        start = i
-    block = hops[start : start + len(forward), L - 2 :]
-    return float(logsumexp(forward[:, None] + block, axis=0)[1] + emissions[L - 1, toks[-1]])
+    with np.errstate(over="ignore", invalid="ignore"):  # once per call: checked at the end
+        for i in range(1, M - 1):
+            block = hops[start : start + len(forward), i : i + width]
+            forward = (logsumexp(forward[:, None] + block, axis=0)
+                       + emissions[i : i + width, toks[i]])
+            start = i
+        block = hops[start : start + len(forward), L - 2 :]
+        marginal = logsumexp(forward[:, None] + block, axis=0)[1] + emissions[L - 1, toks[-1]]
+    return _finite_score(marginal, "marginal log-probability")
 
 
 def entropy_stats(instance: Instance) -> EntropyStats:
@@ -130,6 +142,13 @@ def argmax_emission(instance: Instance, position: int) -> tuple[int, float]:
             f"position {position} outside lattice of {instance.L} positions"
         )
     return int(instance.best_token[position - 1]), float(instance.best_emission[position - 1])
+
+
+def _finite_score(value, name: str) -> float:
+    """``value`` as a float, or InstanceValidationError where it is ``+inf`` or NaN."""
+    if not value < np.inf:  # NaN fails it too: a sum that overflowed, then met -inf
+        raise InstanceValidationError([f"the {name} overflows to +inf"])
+    return float(value)
 
 
 def _checked_path(instance: Instance, path) -> DecodingPath:

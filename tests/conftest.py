@@ -1,14 +1,16 @@
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dagdecode import GeneratorConfig, Instance, decoders, generate_instance
-from dagdecode.lattice import check_tokens, later_hops
+from dagdecode import GeneratorConfig, Instance, InstanceFormatError, decoders, generate_instance
+from dagdecode.lattice import NORMALIZATION_TOL, check_tokens, later_hops
 from dagdecode.logmath import LOG_ZERO, logsumexp
 
 # Two fixed lattices used across the suite. The 2-position one admits a
@@ -193,3 +195,87 @@ def reference_marginal(instance: Instance, tokens) -> float:
         hopped = logsumexp(forward[:, None] + hops, axis=0)
         forward = hopped + instance.log_emissions[:, tok]
     return float(forward[L - 1])
+
+
+def reference_generate_instance(config: GeneratorConfig) -> Instance:
+    """``generate_instance`` with each row's successors and concentrations built in the loop.
+
+    The byte-identity reference for the generator, which builds them once.
+    """
+    rng = np.random.default_rng(config.seed)
+    L, V = config.L, config.V
+    transitions = np.zeros((L, L))
+    for t in range(L - 1):
+        successors = np.arange(t + 1, L)
+        forbid = int(config.sparsity * len(successors))
+        forbid = min(forbid, len(successors) - 1)
+        if forbid:
+            dropped = rng.choice(len(successors), size=forbid, replace=False)
+            successors = np.delete(successors, dropped)
+        row = rng.dirichlet(np.full(len(successors), config.transition_concentration))
+        transitions[t, successors] = row
+    emissions = rng.dirichlet(np.full(V, config.emission_concentration), size=L)
+    return Instance.from_probs(transitions, emissions, meta={"generator": asdict(config)})
+
+
+def reference_lists_to_table(rows, name: str) -> np.ndarray:
+    """``io._lists_to_table`` cell by cell: the reference for its one-call conversion."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InstanceFormatError(f"{name} must be a list of rows")
+    width = {len(r) for r in rows}
+    if len(width) > 1:
+        raise InstanceFormatError(f"{name} rows have inconsistent lengths {sorted(width)}")
+    out = np.full((len(rows), width.pop() if width else 0), LOG_ZERO)
+    try:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v is None:
+                    continue
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise InstanceFormatError(
+                        f"{name}[{i}][{j}] must be a finite number or null, got {v!r}"
+                    )
+                out[i, j] = float(v)
+    except OverflowError:
+        raise InstanceFormatError(
+            f"{name}[{i}][{j}] must be a finite number or null, got an integer out of float range"
+        ) from None
+    return out
+
+
+def reference_validate(instance: Instance) -> list[str]:
+    """``lattice.validate`` one row at a time: the reference for its blocked checks."""
+    violations: list[str] = []
+    L = instance.L
+    trans = instance.log_transitions
+    for t in range(L):
+        row = trans[t]
+        if t == L - 1:
+            if np.any(np.isfinite(row)):
+                violations.append(f"transition row {L}: terminal row must be all -inf")
+            continue
+        bad = np.isfinite(row[: t + 1])
+        if np.any(bad):
+            where = np.flatnonzero(bad) + 1
+            violations.append(
+                f"transition row {t + 1}: finite entries at non-later positions "
+                f"{[int(w) for w in where]}"
+            )
+        successors = row[t + 1 :]
+        if not np.any(np.isfinite(successors)):
+            violations.append(f"transition row {t + 1}: dead end (no finite successor)")
+            continue
+        residual = logsumexp(successors)
+        if abs(residual) > NORMALIZATION_TOL:
+            violations.append(
+                f"transition row {t + 1}: normalization residual {residual:.3e} "
+                f"exceeds {NORMALIZATION_TOL:.0e}"
+            )
+    for t in range(L):
+        residual = logsumexp(instance.log_emissions[t])
+        if not np.isfinite(residual) or abs(residual) > NORMALIZATION_TOL:
+            violations.append(
+                f"emission row {t + 1}: normalization residual {residual:.3e} "
+                f"exceeds {NORMALIZATION_TOL:.0e}"
+            )
+    return violations

@@ -353,6 +353,25 @@ class TestScore:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "path, score",
+        [("1,2,4", "emission log-probability"), ("1,3,4", "marginal log-probability")],
+    )
+    def test_score_overflow_is_data_error(self, capsys, tmp_path, i4, path, score):
+        # Token 0 emits 1e308 at positions 1 and 2: along 1,2,4 the emission
+        # score overflows, along 1,3,4 only the marginal (which sums 1,2,4 too).
+        doc = instance_to_dict(i4)
+        doc["log_emissions"][0][0] = doc["log_emissions"][1][0] = 1e308
+        file = tmp_path / "huge.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            ["score", "--input", str(file), "--path", path, "--tokens", "0,0,0", "--marginal",
+             "--no-validate"],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: instance failed validation: the {score} overflows to +inf\n"
+
     def test_non_integer_path_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(
             capsys, ["score", "--input", str(i4_file), "--path", "1,x", "--tokens", "0,1"]

@@ -255,6 +255,8 @@ class TestViterbiTable:
             expected_alpha, expected_psi, expected_overflow = decoders._numpy_table(*weights)
             assert (overflow, expected_overflow) == (0, 0)
             assert psi.dtype == expected_psi.dtype == np.min_scalar_type(L)
+            assert alpha.dtype == expected_alpha.dtype == np.float64
+            assert (alpha.shape, psi.shape) == ((L,), (L, L))
             assert alpha.tobytes() == expected_alpha.tobytes()
             assert psi.tobytes() == expected_psi.tobytes()
 

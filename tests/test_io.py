@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagdecode import (
     GeneratorConfig,
@@ -18,10 +20,24 @@ from dagdecode import (
     serialize_instance,
     validate,
 )
-from dagdecode.io import _table_to_lists, instance_from_dict, instance_to_dict
+from dagdecode.io import _lists_to_table, _table_to_lists, instance_from_dict, instance_to_dict
 from dagdecode.logmath import LOG_ZERO
 
-from conftest import random_batch, random_instance
+from conftest import (
+    random_batch,
+    random_instance,
+    reference_generate_instance,
+    reference_lists_to_table,
+)
+
+
+def conversion_outcome(convert, rows):
+    """``convert(rows, "t")``'s dtype, shape and bytes, or its exception's type and message."""
+    try:
+        out = convert(rows, "t")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
 
 
 class TestRoundTrip:
@@ -153,7 +169,103 @@ class TestParseErrors:
         assert len(validate(inst)) == 1
 
 
+class TestTableConversion:
+    """The one-call conversion gives the per-cell loop's bytes, or its exception and message."""
+
+    ROWS = {
+        "bool": [[None, True], [None, None]],
+        "false": [[-1.0, False]],
+        "str": [[None, "-1.5"], [None, None]],
+        "numpy float": [[None, np.float64(-0.5)], [None, None]],
+        "numpy int": [[np.int64(-1), None]],
+        "numpy nan": [[None, np.float64("nan")]],
+        "list cell": [[None, [0.0]]],
+        "dict cell": [[{}, None]],
+        "ragged": [[0.0, None], [0.0]],
+        "ragged empty": [[], [None]],
+        "not a list": {"0": [0.0]},
+        "row not a list": [[0.0], (0.0,)],
+        "empty": [],
+        "empty rows": [[], []],
+        "one cell": [[-0.25]],
+        "one null": [[None]],
+        "all null": [[None] * 4 for _ in range(4)],
+        "ints": [[0, -3, None], [7, None, -(2**40)]],
+        "nan in a dict": [[None, -1.0], [math.nan, None]],
+        "inf in a dict": [[None, math.inf]],
+        "-inf in a dict": [[-math.inf, None]],
+        "-0.0 in a dict": [[-0.0, None], [0.0, -0.0]],
+        "nan and null": [[None, None, math.nan]],
+    }
+
+    @pytest.mark.parametrize("rows", ROWS.values(), ids=ROWS.keys())
+    def test_cases(self, rows):
+        assert conversion_outcome(_lists_to_table, rows) == conversion_outcome(
+            reference_lists_to_table, rows
+        )
+
+    @pytest.mark.parametrize(
+        "big",
+        [2**53 + 1, -(2**53 + 1), 2**63, -(2**63) - 1, 2**64 + 1, 10**308, -(10**308),
+         10**309, -(10**309)],
+    )
+    def test_large_integers(self, big):
+        for rows in ([[big]], [[None, -1.5], [big, None]], [[big, 10**400]]):
+            assert conversion_outcome(_lists_to_table, rows) == conversion_outcome(
+                reference_lists_to_table, rows
+            )
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_json_literals(self, literal):
+        rows = json.loads(f"[[null, -0.5], [{literal}, null]]")
+        got = conversion_outcome(_lists_to_table, rows)
+        assert got == conversion_outcome(reference_lists_to_table, rows)
+        assert got[0] is InstanceFormatError
+
+    def test_generated_instances(self):
+        for inst in random_batch(20, seed0=900, L=17, V=4, sparsity=0.4):
+            doc = instance_to_dict(inst)
+            for name in ("log_transitions", "log_emissions"):
+                got = _lists_to_table(doc[name], name)
+                assert got.tobytes() == reference_lists_to_table(doc[name], name).tobytes()
+                assert got.tobytes() == getattr(inst, name).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.none(), st.floats(), st.integers(), st.booleans(),
+                        st.sampled_from([10**309, -(2**64), -0.0]),
+                    ),
+                    min_size=width, max_size=width,
+                ),
+                max_size=4,
+            )
+        )
+    )
+    def test_property(self, rows):
+        assert conversion_outcome(_lists_to_table, rows) == conversion_outcome(
+            reference_lists_to_table, rows
+        )
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("L", [1, 2, 64])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("concentration", [0.05, 1.0, 8.0])
+    def test_tables_match_the_row_by_row_loop(self, L, sparsity, concentration):
+        for seed in range(3):
+            config = GeneratorConfig(
+                L=L, V=5, seed=seed, sparsity=sparsity,
+                transition_concentration=concentration, emission_concentration=concentration,
+            )
+            got, want = generate_instance(config), reference_generate_instance(config)
+            assert got.log_transitions.tobytes() == want.log_transitions.tobytes()
+            assert got.log_emissions.tobytes() == want.log_emissions.tobytes()
+            assert got.meta == want.meta
+
     def test_deterministic(self):
         config = GeneratorConfig(L=4, V=2, seed=7)
         assert generate_instance(config) == generate_instance(config)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,118 @@ from dagdecode import (
     VocabError,
     validate,
 )
-from dagdecode.lattice import check_tokens
+from dagdecode.lattice import NORMALIZATION_TOL, VALIDATE_BLOCK_ROWS, check_tokens
 from dagdecode.logmath import LOG_ZERO
 
-from conftest import I2_EMISSIONS, I2_TRANSITIONS, random_batch, random_instance
+from conftest import (
+    I2_EMISSIONS,
+    I2_TRANSITIONS,
+    random_batch,
+    random_instance,
+    reference_validate,
+)
+
+
+def validation_outcome(check, inst) -> tuple:
+    """``check(inst)``'s messages and every warning it raises, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        messages = check(inst)
+    return messages, [(w.category, str(w.message)) for w in caught]
+
+
+#: 0-based rows on either side of the first two block edges of ``validate``.
+EDGE_ROWS = [k * VALIDATE_BLOCK_ROWS + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+#: Residuals around the tolerance and around half of it, where blocks hand rows to the row check.
+SHIFTS = [s * k * NORMALIZATION_TOL for s in (1, -1) for k in (0.45, 0.5, 0.55, 0.9, 1.0, 1.1)]
+
+
+def damaged(inst: Instance, damage) -> Instance:
+    """An unvalidated copy of ``inst`` with each ``(kind, row, value)`` of ``damage`` applied.
+
+    Kinds: ``early`` sets a cell on or below the diagonal of the row, ``dead``
+    empties its successors, ``shift`` adds ``value`` to its successors,
+    ``terminal`` sets a cell of the last row, ``emission`` adds ``value`` to
+    an emission row, ``silent`` empties one, ``huge`` sets its first two
+    successors to ``value`` and ``-value``.
+    """
+    trans, emis = inst.log_transitions.copy(), inst.log_emissions.copy()
+    L = inst.L
+    for kind, row, value in damage:
+        t = row % L
+        if kind == "early":
+            trans[t, t // 2] = value
+        elif kind == "dead":
+            trans[t, t + 1 :] = LOG_ZERO
+        elif kind == "shift":
+            trans[t, t + 1 :] += value
+        elif kind == "terminal":
+            trans[L - 1, t] = value
+        elif kind == "emission":
+            emis[t] += value
+        elif kind == "silent":
+            emis[t] = LOG_ZERO
+        elif kind == "huge" and t + 2 < L:
+            trans[t, t + 1 : t + 3] = value, -value
+    return Instance(L=L, V=inst.V, log_transitions=trans, log_emissions=emis)
+
+
+class TestValidateBlocks:
+    """Blocked ``validate`` gives the row-by-row loop's messages and warnings, in its order."""
+
+    def test_suite(self, suite_500):
+        for inst in suite_500:
+            assert validate(inst) == reference_validate(inst) == []
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_residuals_near_the_tolerance(self, shift):
+        inst = random_instance(5, L=70, V=6, sparsity=0.3)
+        for row in (0, 1, *EDGE_ROWS, 68):
+            for kind in ("shift", "emission"):
+                broken = damaged(inst, [(kind, row, shift)])
+                assert validate(broken) == reference_validate(broken)
+
+    @pytest.mark.parametrize("L", [1, 2, 63, 64, 65, VALIDATE_BLOCK_ROWS * 2 + 1])
+    def test_each_check_at_block_edges(self, L):
+        inst = random_instance(L, L=L, V=3, sparsity=0.2)
+        rows = sorted({0, 1, L - 2, L - 1, *EDGE_ROWS} & set(range(L)))
+        for kind, value in [("early", -0.5), ("dead", None), ("shift", 0.1), ("terminal", -2.0),
+                            ("emission", -0.3), ("silent", None), ("huge", 1e308)]:
+            broken = damaged(inst, [(kind, row, value) for row in rows])
+            outcome = validation_outcome(validate, broken)
+            assert outcome == validation_outcome(reference_validate, broken)
+            # Only the terminal row takes damage at L = 1, and "huge" needs 3 positions.
+            if kind in ("early", "terminal", "emission", "silent") or L > 1 + (kind == "huge"):
+                assert outcome[0], kind
+        assert validate(inst) == reference_validate(inst) == []
+
+    def test_every_check_at_once(self):
+        inst = random_instance(3, L=130, V=4)
+        damage = [("early", 3, -1.0), ("dead", 3, None), ("early", 64, 0.0),
+                  ("shift", 64, 2e-6), ("terminal", 7, -1.0), ("emission", 129, 1e-5),
+                  ("silent", 0, None), ("huge", 100, 1e308)]
+        broken = damaged(inst, damage)
+        outcome = validation_outcome(validate, broken)
+        assert outcome == validation_outcome(reference_validate, broken)
+        assert len(outcome[0]) == 8
+        assert outcome[1], "the huge row's overflow warns, as it does row by row"
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_property(self, data):
+        L = data.draw(st.integers(1, 2 * VALIDATE_BLOCK_ROWS + 3), label="L")
+        inst = random_instance(data.draw(st.integers(0, 1000), label="seed"), L=L, V=3,
+                               sparsity=data.draw(st.sampled_from([0.0, 0.5]), label="sparsity"))
+        damage = data.draw(st.lists(st.tuples(
+            st.sampled_from(["early", "dead", "shift", "terminal", "emission", "silent", "huge"]),
+            st.integers(0, L - 1),
+            st.one_of(st.sampled_from(SHIFTS + [1e308, -1e300]),
+                      st.floats(-1.0, 1.0, allow_nan=False)),
+        ), max_size=4), label="damage")
+        broken = damaged(inst, damage)
+        assert validation_outcome(validate, broken) == validation_outcome(
+            reference_validate, broken
+        )
 
 
 class TestInstance:

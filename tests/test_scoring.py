@@ -7,6 +7,7 @@ import pytest
 from dagdecode import (
     InfeasibleLengthError,
     Instance,
+    InstanceValidationError,
     PathShapeError,
     ShapeError,
     VocabError,
@@ -236,6 +237,37 @@ class TestMarginalBitIdentity:
             marginal_translation_log_prob(i4, tokens)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+
+class TestScoreOverflow:
+    """Scores that overflow on unvalidated emissions raise a typed error, without a warning."""
+
+    @pytest.fixture
+    def huge(self, i4) -> Instance:
+        """I4 with every token-0 emission 1e308: any two of them sum to +inf."""
+        emissions = i4.log_emissions.copy()
+        emissions[:, 0] = 1e308
+        return Instance(L=4, V=2, log_transitions=i4.log_transitions, log_emissions=emissions)
+
+    @pytest.mark.parametrize("tokens", [[0, 0], [0, 0, 0], [0, 0, 0, 0]])
+    def test_marginal(self, huge, tokens):
+        with pytest.raises(InstanceValidationError) as caught:
+            marginal_translation_log_prob(huge, tokens)
+        assert str(caught.value) == (
+            "instance failed validation: the marginal log-probability overflows to +inf"
+        )
+
+    @pytest.mark.parametrize("path", [(1, 4), (1, 2, 4), (1, 2, 3, 4)])
+    def test_translation_given_path(self, huge, path):
+        with pytest.raises(InstanceValidationError) as caught:
+            translation_given_path_log_prob(huge, path, [0] * len(path))
+        assert str(caught.value) == (
+            "instance failed validation: the emission log-probability overflows to +inf"
+        )
+
+    def test_one_huge_emission_still_scores(self, huge):
+        assert marginal_translation_log_prob(huge, [1, 0]) == pytest.approx(1e308)
+        assert translation_given_path_log_prob(huge, (1, 4), [0, 1]) == pytest.approx(1e308)
 
 
 class TestEntropyStats:
