@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_fastpath.py --parent REV --out BENCH_parse.json
+    python3 scripts/bench_fastpath.py --parent REV --out BENCH_mean.json
 
 ``REV``'s ``src/`` is exported with ``git archive`` into a temporary
 directory. Each round runs the parent and this checkout's ``src/`` in fresh
@@ -14,11 +14,10 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
 - median ``build_viterbi_table`` time per mode on one generated instance
   (seed 0, V=32) at each L of ``TABLE_LENGTHS``;
 - longest-path passes and table builds per call, counted in a separate
-  untimed sweep. Passes are what ``decoders._longest_path_search`` reports
-  where it exists, with the reason of each fallback to the table; at a
-  parent without it they are counted by wrapping ``decoders._longest_path``
-  (absent at a parent without either), and the reasons are null. Builds
-  are counted by wrapping ``decoders.build_viterbi_table``;
+  untimed sweep. Passes are what ``decoders._longest_path_search``
+  reports, with the reason of each fallback to the table; builds are
+  counted by wrapping ``decoders.build_viterbi_table``. The parent must
+  have ``_longest_path_search`` (42e7696 or later);
 - on the instances ``analyze`` uses at seed 0 (16 at L=64, V=16, generator
   seeds 2000-2015, every 4th at sparsity 0.3), with the four strategies'
   hypotheses at beta 1: the median time of the 64
@@ -27,10 +26,8 @@ reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
   passes that call runs (counted by wrapping the public function) and the
   ``repr`` of its per-strategy averages;
 - acceptance criterion 7's ratio, measured as that test measures it
-  (medians of single decodes), and as the mean-based ``benchmark`` call
-  it used before, both in the same run;
-- whether the compiled pass (``dagdecode._cpass``) was in use
-  (null at a parent without it);
+  (medians of single decodes), with both medians;
+- whether the compiled kernels (``dagdecode._cpass``) were in use;
 - on the four files ``cli-decode`` reads at seed 0 (L=512, V=32, generator
   seeds 1000-1003, the last at sparsity 0.3; written once, by this
   checkout), each file in a fresh interpreter per side: ``json.loads`` of
@@ -79,7 +76,7 @@ def measure(src: str, reps: int) -> dict:
     """One side's numbers, measured in this (fresh) interpreter."""
     sys.path.insert(0, src)
     import dagdecode
-    from dagdecode import GeneratorConfig, decoders, generate_instance
+    from dagdecode import GeneratorConfig, _cpass, decoders, generate_instance
 
     instances = [
         generate_instance(
@@ -87,14 +84,9 @@ def measure(src: str, reps: int) -> dict:
         )
         for k in range(8)
     ]
-    for strategy in STRATEGIES:  # warm-up: imports, first calls, the compiled pass
+    for strategy in STRATEGIES:  # warm-up: imports, first calls, the compiled kernels
         decoders.decode(instances[0], strategy, 1.0)
-    try:
-        from dagdecode import _cpass
-    except ImportError:
-        compiled_pass = None
-    else:
-        compiled_pass = _cpass.load() is not None
+    compiled_pass = _cpass.load() is not None
 
     times = {}
     for beta in BETAS:
@@ -126,36 +118,32 @@ def measure(src: str, reps: int) -> dict:
 
     analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
 
-    counts = {"passes": 0, "builds": 0}
+    builds = 0
+    build = decoders.build_viterbi_table
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return build(*args, **kwargs)
 
-        return wrapper
-
-    search = getattr(decoders, "_longest_path_search", None)
-    has_passes = search is not None or hasattr(decoders, "_longest_path")
-    if search is None and has_passes:
-        decoders._longest_path = counted("passes", decoders._longest_path)
-    decoders.build_viterbi_table = counted("builds", decoders.build_viterbi_table)
+    decoders.build_viterbi_table = counted
     work = {}
     for beta in BETAS:
         for strategy in STRATEGIES:
-            counts.update(passes=0, builds=0)
-            reasons = None if search is None else {r.name: 0 for r in decoders.Fallback}
+            builds = passes = 0
+            reasons = {r.name: 0 for r in decoders.Fallback}
             for inst in instances:
-                if search is not None:
-                    _, reason, passes = search(inst, decoders.TABLE_MODES[strategy], beta)
-                    counts["passes"] += passes
-                    if reason is not None:
-                        reasons[decoders.Fallback(reason).name] += 1
+                _, reason, count = decoders._longest_path_search(
+                    inst, decoders.TABLE_MODES[strategy], beta
+                )
+                passes += count
+                if reason is not None:
+                    reasons[decoders.Fallback(reason).name] += 1
                 decoders.decode(inst, strategy, beta)
             work[f"{strategy} beta={beta:g}"] = {
-                "passes_per_call": counts["passes"] / len(instances) if has_passes else None,
-                "table_builds_per_call": counts["builds"] / len(instances),
-                "fallbacks_by_reason_per_call": None if reasons is None else {
+                "passes_per_call": passes / len(instances),
+                "table_builds_per_call": builds / len(instances),
+                "fallbacks_by_reason_per_call": {
                     name: n / len(instances) for name, n in reasons.items()
                 },
             }
@@ -175,7 +163,6 @@ def measure(src: str, reps: int) -> dict:
                 decoders.decode(inst, strategy, 1.0)
                 samples[strategy].append(time.perf_counter() - start)
     greedy, joint = (statistics.median(samples[strategy]) for strategy in pair)
-    timings = dagdecode.benchmark(criterion7, list(pair), repetitions=3, beta=1.0)
     return {
         "compiled_pass": compiled_pass,
         "decode": times,
@@ -185,7 +172,6 @@ def measure(src: str, reps: int) -> dict:
         "criterion7_ratio": joint / greedy,
         "criterion7_greedy_us": greedy * 1e6,
         "criterion7_joint_viterbi_ms": joint * 1e3,
-        "criterion7_ratio_of_means": timings["joint-viterbi"].ratio_vs_baseline,
     }
 
 
@@ -352,10 +338,6 @@ def summarize(runs: list[dict]) -> dict:
             k: med([r["table_build_ms"][k] for r in runs]) for k in runs[0]["table_build_ms"]
         },
         "work_per_call": runs[0]["work"],
-        "fallbacks_per_call": {
-            k: w["table_builds_per_call"] if w["passes_per_call"] is not None else None
-            for k, w in runs[0]["work"].items()
-        },
         "analyze": {
             "marginal_calls_ms": med([r["analyze"]["marginal_calls_ms"] for r in runs]),
             "compare_strategies_ms": med([r["analyze"]["compare_strategies_ms"] for r in runs]),
@@ -373,10 +355,6 @@ def summarize(runs: list[dict]) -> dict:
         },
         "criterion7_greedy_us": med([r["criterion7_greedy_us"] for r in runs]),
         "criterion7_joint_viterbi_ms": med([r["criterion7_joint_viterbi_ms"] for r in runs]),
-        "criterion7_ratio_of_means": {
-            "median": med([r["criterion7_ratio_of_means"] for r in runs]),
-            "per_round": [round(r["criterion7_ratio_of_means"], 2) for r in runs],
-        },
     }
 
 
@@ -452,6 +430,9 @@ def main(argv=None) -> int:
             tuple(c["stdout_sha256"] for c in r["cli_decode"])
             for r in runs["parent"] + runs["change"]
         }) == 1,
+        "identical_work_per_call": all(
+            r["work"] == runs["parent"][0]["work"] for r in runs["parent"] + runs["change"]
+        ),
         "identical_averages": all(
             r["analyze"]["avg_logprob_repr"] == runs["parent"][0]["analyze"]["avg_logprob_repr"]
             for r in runs["parent"] + runs["change"]

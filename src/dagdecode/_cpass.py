@@ -8,7 +8,7 @@ inside ``decode``; tests call it alone). ``decode`` runs
 the whole search of an exact decode at beta 0 or 1, what
 ``decoders._numpy_decode`` computes, in one call: at beta 1 the walk that
 seeds the mean, then each pass (the same C function), each path's mean
-(numpy's pairwise sum, in numpy's order) and the stop rules; it returns
+(its hops added left to right) and the stop rules; it returns
 the path or the reason there is none, and the number of passes. ``table``
 fills the per-length Viterbi table, what ``decoders._numpy_table``
 computes, writing the backpointers straight into their final dtype. On its
@@ -17,9 +17,12 @@ three from its cache, compiling ``SOURCE`` into it first if it is missing
 (about 0.4 s), with the system C compiler (``cc``) and ``FLAGS``: ``-O3``,
 but no fast-math and no contraction, so each kernel does numpy's float
 operations in numpy's order and returns what its numpy counterpart
-returns. The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode``
-where that variable is unset, empty or relative; mode 0700); the file name
-is keyed by the CRC-32 of the source, the flags and the machine (``zlib``
+returns; and each function on a 64-byte boundary, so a kernel's speed
+does not hang on the size of the code before it (the same pass machine
+code, 48 bytes past a boundary, made PATH beta 1 searches 7% slower).
+The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where
+that variable is unset, empty or relative; mode 0700); the file name is
+keyed by the CRC-32 of the source, the flags and the machine (``zlib``
 is loaded already; ``hashlib`` would load OpenSSL), and the file is moved
 into place only once complete. Only a compile imports ``subprocess``, so a
 process that finds the library cached never loads it. If anything fails
@@ -62,8 +65,7 @@ static inline double maximum(double a, double b)
    not certified; returns 0 where n-1 is unreachable or a value is NaN or
    +inf. The backtrace takes the first NaN, else the first maximum, as
    np.argmax does. Every sum is numpy's, in numpy's order. Not inlined into
-   dagdecode_decode, nor is pairwise into itself: each copy would add about
-   0.1 s to the compile. */
+   dagdecode_decode: the copy would add about 0.1 s to the compile. */
 __attribute__((noinline))
 long dagdecode_pass(const double *restrict trans, const double *restrict bonus, long n,
                     double start, double lam, double *restrict f, long *restrict path)
@@ -194,46 +196,18 @@ long dagdecode_table(const double *restrict trans, const double *restrict bonus,
 /* Why dagdecode_decode gives no path; it returns the reason negated. */
 enum { NO_PATH = 1, DEAD_END = 2, NOT_RISING = 3, NOT_CERTIFIED = 4 };
 
-/* numpy's pairwise sum of a[0 .. n-1]: below 8 items one loop from -0.0, up
-   to 128 eight accumulators, beyond that the sums of two halves split at a
-   multiple of 8. */
-__attribute__((noinline))
-static double pairwise(const double *restrict a, long n)
-{
-    if (n < 8) {
-        double s = -0.0;
-        for (long i = 0; i < n; i++)
-            s += a[i];
-        return s;
-    }
-    if (n <= 128) {
-        double r[8];
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        long i = 8;
-        for (; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            s += a[i];
-        return s;
-    }
-    long half = n / 2 - n / 2 % 8;
-    return pairwise(a, half) + pairwise(a + half, n - half);
-}
-
 /* The score per position of the k-position path p (1-based positions) from
-   start, what decoders._mean_score gives: numpy's sum of a float64 array is
-   0.0 plus its pairwise sum. h is k - 1 doubles of scratch. */
+   start, what decoders._mean_score gives: start plus each hop's weight, added
+   left to right, over k. */
 static double mean(const double *restrict trans, const double *restrict bonus, long n,
-                   double start, const long *restrict p, long k, double *restrict h)
+                   double start, const long *restrict p, long k)
 {
+    double s = start;
     for (long i = 0; i + 1 < k; i++) {
         long t = p[i] - 1, u = p[i + 1] - 1;
-        h[i] = bonus ? trans[t * n + u] + bonus[u] : trans[t * n + u];
+        s += bonus ? trans[t * n + u] + bonus[u] : trans[t * n + u];
     }
-    return (start + (0.0 + pairwise(h, k - 1))) / (double)k;
+    return s / (double)k;
 }
 
 /* decoders._walk: from position 0, step to the later j maximizing trans[t, j]
@@ -283,7 +257,7 @@ long dagdecode_decode(const double *restrict trans, const double *restrict bonus
         if (prev_k == 0)
             return -DEAD_END;
         prev = path + n;
-        lam = mean(trans, bonus, n, start, prev, prev_k, f);
+        lam = mean(trans, bonus, n, start, prev, prev_k);
     }
     for (;;) {
         long count = dagdecode_pass(trans, bonus, n, start, lam, f, cur);
@@ -299,7 +273,7 @@ long dagdecode_decode(const double *restrict trans, const double *restrict bonus
                 memcpy(path + n - k, p, k * sizeof *p);
             return k;
         }
-        double m = mean(trans, bonus, n, start, p, k, f);
+        double m = mean(trans, bonus, n, start, p, k);
         if (!(m > lam))
             return -NOT_RISING;
         lam = m;
@@ -310,7 +284,7 @@ long dagdecode_decode(const double *restrict trans, const double *restrict bonus
 }
 """
 
-FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-falign-functions=64")
 
 
 class Kernels(NamedTuple):

@@ -36,8 +36,7 @@ TIE_TOL = 1e-9
 class TimingStats:
     """Per-strategy wall-clock summary from a benchmark run."""
 
-    mean_seconds: float
-    std_seconds: float
+    median_seconds: float
     ratio_vs_baseline: float
 
 
@@ -136,11 +135,13 @@ def benchmark(
     repetitions: int,
     beta: float = DEFAULT_BETA,
 ) -> dict[str, TimingStats]:
-    """Mean and std of per-instance decode wall time, plus the ratio to the first strategy.
+    """Median wall time of one decode per strategy, and its ratio to the first strategy's.
 
-    One untimed warm-up pass per strategy precedes ``repetitions`` timed
-    passes (repetitions >= 3). Timing runs sequentially on purpose; do not
-    parallelize it.
+    One untimed warm-up decode of every instance by every strategy precedes
+    ``repetitions`` timed rounds (repetitions >= 3). Each decode is timed on
+    its own, and the strategies take turns on each instance, so a host stall
+    moves a few samples rather than the medians. Timing runs sequentially on
+    purpose; do not parallelize it.
     """
     instances = list(instances)
     strategies = check_strategies(strategies)
@@ -149,26 +150,22 @@ def benchmark(
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
 
-    per_instance: dict[str, list[float]] = {}
-    for name in strategies:
-        for inst in instances:
+    for inst in instances:  # warm-up: first calls and the compiled kernels
+        for name in strategies:
             decode(inst, name, beta)
-        samples = []
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            for inst in instances:
+    samples: dict[str, list[float]] = {name: [] for name in strategies}
+    for _ in range(repetitions):
+        for inst in instances:
+            for name in strategies:
+                start = time.perf_counter()
                 decode(inst, name, beta)
-            elapsed = time.perf_counter() - start
-            samples.append(elapsed / len(instances))
-        per_instance[name] = samples
+                samples[name].append(time.perf_counter() - start)
 
-    means = {name: float(np.mean(v)) for name, v in per_instance.items()}
-    stds = {name: float(np.std(v, ddof=1)) for name, v in per_instance.items()}
+    medians = {name: float(np.median(v)) for name, v in samples.items()}
     return {
         name: TimingStats(
-            mean_seconds=means[name],
-            std_seconds=stds[name],
-            ratio_vs_baseline=means[name] / means[strategies[0]],
+            median_seconds=medians[name],
+            ratio_vs_baseline=medians[name] / medians[strategies[0]],
         )
         for name in strategies
     }

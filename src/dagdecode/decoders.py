@@ -24,18 +24,18 @@ score that overflows to ``+inf`` makes the table raise
 
 The whole search of an exact decode, and each table build, is one call of
 a small C function (``_cpass``). The search runs, at ``beta = 1``, the walk
-that seeds the mean, and then each pass, each path's mean and the stop
-rules; only the hypothesis is then scored in numpy. Each pass does the
-forward fill, the margin, the backtrace and the certificate; the table
-pushes each length's prefix scores forward and writes the backpointers in
-their final dtype. All read the transitions in place and add the JOINT
-bonus per column, so none makes an L x L weights array. They live in one
-library, compiled with ``cc`` the first time any runs, never at import
-(about 0.4 s, once per cache), and cached in ``$XDG_CACHE_HOME/dagdecode``
-(default ``~/.cache/dagdecode``). They return what the numpy search
-(``_numpy_decode``, built on ``_numpy_pass``) and the numpy table
-(``_numpy_table``) return; where the library cannot be compiled or loaded,
-the process silently runs the numpy code.
+that seeds the mean, and then each pass, each path's mean (its hops added
+left to right) and the stop rules; only the hypothesis is then scored in
+numpy. Each pass does the forward fill, the margin, the backtrace and the
+certificate; the table pushes each length's prefix scores forward and
+writes the backpointers in their final dtype. All read the transitions in
+place and add the JOINT bonus per column, so none makes an L x L weights
+array. They live in one library, compiled with ``cc`` the first time any
+runs, never at import (about 0.4 s, once per cache), and cached in
+``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). They
+return what the numpy search (``_numpy_decode``, built on ``_numpy_pass``)
+and the numpy table (``_numpy_table``) return; where the library cannot be
+compiled or loaded, the process silently runs the numpy code.
 
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection
@@ -179,7 +179,7 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
     """
     # Scoring checks the path (PathShapeError), so it comes before any indexing.
     with np.errstate(over="ignore", invalid="ignore"):
-        path_lp = scoring.path_log_prob(instance, path)
+        path_lp = scoring._hop_sum(instance, path)
         pos = np.asarray(tuple(path), dtype=np.intp) - 1
         emission_lp = float(np.sum(instance.best_emission[pos]))
     for name, value in (("path_logprob", path_lp), ("emission_logprob", emission_lp),
@@ -310,18 +310,17 @@ def _hop_weights(instance: Instance, mode: TableMode):
 
 
 def _mean_score(trans: np.ndarray, bonus, start: float, path: tuple[int, ...]) -> float:
-    """A path's score (start plus hop weights) per position.
+    """A path's score per position: ``start`` plus each hop's weight, added left to right.
 
-    The hops are summed by numpy's pairwise sum, which the compiled search
-    copies.
+    The compiled search sums it the same way. Python floats overflow quietly:
+    a sum that overflows gives +inf, or NaN from a -inf start, and no pass
+    certifies either.
     """
-    pos = np.asarray(path, dtype=np.intp) - 1
-    hops = trans[pos[:-1], pos[1:]]
-    if bonus is not None:
-        hops += bonus[pos[1:]]
-    # A sum that overflows gives +inf, or NaN from a -inf start; no pass certifies either.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(start + hops.sum()) / len(path)
+    total = float(start)
+    for t, u in zip(path, path[1:]):
+        hop = trans.item(t - 1, u - 1)
+        total += hop if bonus is None else hop + bonus.item(u - 1)
+    return total / len(path)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled table is
@@ -380,7 +379,10 @@ def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
     ``certified`` holds when at every path position exactly one candidate
     lies within a rounding margin of the best: then no other path of any
     length comes within rounding of this one, so the table, whatever its
-    summation order, ranks the same path first.
+    summation order, ranks the same path first. The margin also covers how
+    ``lam`` rounds: ``_mean_score`` adds a path's hops left to right, so
+    its error is at most about ``eps * (top + L * |lam|)``, where ``top`` is
+    the largest finite ``|f|``, far below ``margin / L``.
     """
     L = len(trans)
     f = np.full(L, LOG_ZERO)

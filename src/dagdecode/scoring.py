@@ -38,13 +38,12 @@ def path_log_prob(instance: Instance, path) -> float:
 
     Returns ``-inf`` when any hop is impossible. Malformed paths (wrong
     endpoints, not strictly increasing, positions outside the lattice)
-    raise PathShapeError.
+    raise PathShapeError. A sum that overflows to ``+inf`` raises
+    InstanceValidationError.
     """
-    p = _checked_path(instance, path)
-    pos = np.asarray(p.positions, dtype=np.intp) - 1
-    if len(pos) == 1:
-        return 0.0
-    return float(np.sum(instance.log_transitions[pos[:-1], pos[1:]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        path_lp = _hop_sum(instance, path)
+    return _finite_score(path_lp, "path log-probability")
 
 
 def translation_given_path_log_prob(instance: Instance, path, tokens) -> float:
@@ -149,6 +148,18 @@ def _finite_score(value, name: str) -> float:
     if not value < np.inf:  # NaN fails it too: a sum that overflowed, then met -inf
         raise InstanceValidationError([f"the {name} overflows to +inf"])
     return float(value)
+
+
+def _hop_sum(instance: Instance, path) -> float:
+    """``path_log_prob`` unchecked: ``+inf`` or NaN where the sum overflows.
+
+    numpy warns of the overflow unless the caller has quieted it.
+    """
+    p = _checked_path(instance, path)
+    pos = np.asarray(p.positions, dtype=np.intp) - 1
+    if len(pos) == 1:
+        return 0.0
+    return float(np.sum(instance.log_transitions[pos[:-1], pos[1:]]))
 
 
 def _checked_path(instance: Instance, path) -> DecodingPath:

@@ -372,6 +372,26 @@ class TestScore:
         assert (code, out) == (2, "")
         assert err == f"error: instance failed validation: the {score} overflows to +inf\n"
 
+    def test_path_score_overflow_is_data_error(self, capsys, tmp_path):
+        # Hops 1 -> 2 -> 3 of 1e308 each: the path score overflows.
+        doc = {
+            "L": 3,
+            "V": 1,
+            "log_transitions": [[None, 1e308, -1.0], [None, None, 1e308], [None] * 3],
+            "log_emissions": [[0.0]] * 3,
+        }
+        file = tmp_path / "path-overflow.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            ["score", "--input", str(file), "--path", "1,2,3", "--tokens", "0,0,0",
+             "--no-validate"],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: instance failed validation: the path log-probability overflows to +inf\n"
+        )
+
     def test_non_integer_path_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(
             capsys, ["score", "--input", str(i4_file), "--path", "1,x", "--tokens", "0,1"]
@@ -604,7 +624,8 @@ class TestGenAnalyzeBench:
         assert code == 0
         doc = json.loads(out)
         assert doc["timings"]["greedy"]["ratio_vs_baseline"] == 1.0
-        assert doc["timings"]["joint-viterbi"]["mean_seconds"] > 0.0
+        assert set(doc["timings"]["joint-viterbi"]) == {"median_seconds", "ratio_vs_baseline"}
+        assert doc["timings"]["joint-viterbi"]["median_seconds"] > 0.0
         assert doc["config"]["baseline"] == "greedy"
 
     def test_bench_has_no_baseline_option(self, capsys):

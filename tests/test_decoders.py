@@ -875,6 +875,16 @@ def _chain(L: int, seed: int) -> np.ndarray:
     return np.where(np.tri(L, dtype=bool), LOG_ZERO, weights)
 
 
+def _left_to_right_mean(trans, bonus, start, path) -> float:
+    """A path's mean by definition: ``start``, then each hop weight in order, over its positions."""
+    total = np.float64(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, u in zip(path[:-1], path[1:]):
+            hop = trans[t - 1, u - 1] if bonus is None else trans[t - 1, u - 1] + bonus[u - 1]
+            total = total + hop
+    return float(total / len(path))
+
+
 class TestForwardPasses:
     """The compiled pass returns what the numpy pass returns; without it, numpy runs."""
 
@@ -900,10 +910,8 @@ class TestForwardPasses:
         for twin_rows in (True, False):
             instances += [funnel(random_instance(s, L=8 + s, V=3), 1 + s % 4, twin_rows)
                           for s in range(8)]
-        # Paths of 12 and 200 positions: each branch of numpy's pairwise sum.
-        instances += [_lattice(_chain(L, L), np.log(np.full((L, 2), 0.5))) for L in (12, 200)]
         instances.append(_lattice(_MEAN_TIE))
-        reasons, lengths = set(), set()
+        reasons = set()
         for mode in TableMode:
             cases = [decoders._hop_weights(inst, mode) for inst in instances] + _pass_cases(mode)
             for trans, bonus, start in cases:
@@ -911,9 +919,40 @@ class TestForwardPasses:
                     expected = decoders._numpy_decode(trans, bonus, start, beta)
                     assert compiled.decode(trans, bonus, start, beta) == expected
                     reasons.add(expected[1])
-                    lengths.add(len(expected[0] or ()))
         assert reasons == {None, *decoders.Fallback}
-        assert max(lengths) > 129 and any(9 < n <= 129 for n in lengths)
+
+    @pytest.mark.parametrize("L", [150, 400, 600])
+    def test_whole_loop_identical_on_long_paths(self, L):
+        # Every best path and every walk visits all L positions, so each mean sums L - 1 hops.
+        compiled = _compiled_or_skip()
+        inst = _lattice(_chain(L, L), np.log(np.full((L, 2), 0.5)))
+        for mode in TableMode:
+            trans, bonus, start = decoders._hop_weights(inst, mode)
+            for beta in (0.0, 1.0):
+                expected = decoders._numpy_decode(trans, bonus, start, beta)
+                assert len(expected[0]) == L
+                assert compiled.decode(trans, bonus, start, beta) == expected
+
+    def test_mean_adds_hops_left_to_right(self):
+        rng = np.random.default_rng(21)
+        L = 700
+        # Hops from 1e-3 to 1e3 in size, so that the order of the additions shows in the last bits.
+        trans = rng.uniform(-1.0, 1.0, (L, L)) * 10.0 ** rng.integers(-3, 4, (L, L))
+        bonus = rng.uniform(-5.0, 0.0, L)
+        cases = []
+        for _ in range(300):
+            k = int(rng.integers(2, L + 1))
+            inner = np.sort(rng.choice(np.arange(2, L), size=k - 2, replace=False)).tolist()
+            cases.append((trans, (1, *inner, L), float(rng.uniform(-10.0, 0.0))))
+        # 1e308 + 1e308 overflows before the two -1e308 hops could bring the sum back.
+        huge = np.diag([1e308, 1e308, -1e308, -1e308], k=1)
+        cases += [(huge, (1, 2, 3, 4, 5), start) for start in (0.0, LOG_ZERO)]
+        cases.append((trans, (1, 350, L), LOG_ZERO))
+        for trans_, path, start in cases:
+            for bonus_ in (None, bonus[: len(trans_)]):
+                expected = _left_to_right_mean(trans_, bonus_, start, path)
+                assert decoders._mean_score(trans_, bonus_, start, path).hex() == expected.hex()
+        assert decoders._mean_score(huge, None, 0.0, (1, 2, 3, 4, 5)) == np.inf
 
     def test_near_tie_is_not_certified(self, forward_pass):
         # Hops 1 -> 2 -> 3 score one ulp above 1 -> 3: the path is the best,

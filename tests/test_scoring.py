@@ -240,7 +240,7 @@ class TestMarginalBitIdentity:
 
 
 class TestScoreOverflow:
-    """Scores that overflow on unvalidated emissions raise a typed error, without a warning."""
+    """Scores that overflow on unvalidated tables raise a typed error, without a warning."""
 
     @pytest.fixture
     def huge(self, i4) -> Instance:
@@ -264,6 +264,18 @@ class TestScoreOverflow:
         assert str(caught.value) == (
             "instance failed validation: the emission log-probability overflows to +inf"
         )
+
+    def test_path(self):
+        # Hops 1 -> 2 -> 3 of 1e308 each; the hop 1 -> 3 alone scores -1.
+        trans = np.full((3, 3), -math.inf)
+        trans[0, 1], trans[1, 2], trans[0, 2] = 1e308, 1e308, -1.0
+        inst = Instance(L=3, V=1, log_transitions=trans, log_emissions=np.zeros((3, 1)))
+        with pytest.raises(InstanceValidationError) as caught:
+            path_log_prob(inst, (1, 2, 3))
+        assert str(caught.value) == (
+            "instance failed validation: the path log-probability overflows to +inf"
+        )
+        assert path_log_prob(inst, (1, 3)) == -1.0
 
     def test_one_huge_emission_still_scores(self, huge):
         assert marginal_translation_log_prob(huge, [1, 0]) == pytest.approx(1e308)
