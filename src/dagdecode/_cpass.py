@@ -1,25 +1,24 @@
-"""The three compiled kernels, built from C and loaded with ``ctypes``.
+"""The two compiled kernels, built from C and loaded with ``ctypes``.
 
-``longest_path`` runs one whole longest-path pass, what
-``decoders._numpy_pass`` computes, in one call: the forward fill, the
-checks that the terminal is reached and that no value is NaN or ``+inf``,
-the rounding margin, the backtrace and its certificate (decodes run it
-inside ``decode``; tests call it alone). ``decode`` runs
-the whole search of an exact decode at beta 0 or 1, what
+``decode`` runs the whole search of an exact decode at beta 0 or 1, what
 ``decoders._numpy_decode`` computes, in one call: at beta 1 the walk that
-seeds the mean, then each pass (the same C function), each path's mean
-(its hops added left to right) and the stop rules; it returns
-the path or the reason there is none, and the number of passes. ``table``
-fills the per-length Viterbi table, what ``decoders._numpy_table``
-computes, writing the backpointers straight into their final dtype. On its
-first call, never at import, ``load()`` loads the library that holds all
-three from its cache, compiling ``SOURCE`` into it first if it is missing
-(about 0.4 s), with the system C compiler (``cc``) and ``FLAGS``: ``-O3``,
-but no fast-math and no contraction, so each kernel does numpy's float
-operations in numpy's order and returns what its numpy counterpart
-returns; and each function on a 64-byte boundary, so a kernel's speed
-does not hang on the size of the code before it (the same pass machine
-code, 48 bytes past a boundary, made PATH beta 1 searches 7% slower).
+seeds the mean, then each longest-path pass (``dagdecode_pass``: the
+forward fill, the checks that the terminal is reached and that no value is
+NaN or ``+inf``, the rounding margin, the backtrace and its certificate),
+each path's mean (its hops added left to right) and the stop rules; it
+returns the path or the reason there is none, and the number of passes. A
+beta 0 search is exactly one pass at ``lam`` 0, so a pass is tested and
+timed through ``decode`` at beta 0. ``table`` fills the per-length Viterbi
+table, what ``decoders._numpy_table`` computes, writing the backpointers
+straight into their final dtype. On its first call, never at import,
+``load()`` loads the library that holds both from its cache, compiling
+``SOURCE`` into it first if it is missing (about 0.4 s), with the system
+C compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
+contraction, so each kernel does numpy's float operations in numpy's order
+and returns what its numpy counterpart returns; and each function on a
+64-byte boundary, so a kernel's speed does not hang on the size of the
+code before it (the same pass machine code, 48 bytes past a boundary, made
+PATH beta 1 searches 7% slower).
 The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where
 that variable is unset, empty or relative; mode 0700); the file name is
 keyed by the CRC-32 of the source, the flags and the machine (``zlib``
@@ -288,9 +287,8 @@ FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-falign-functions=64")
 
 
 class Kernels(NamedTuple):
-    """The library's three kernels, as Python callables (see ``_bind``)."""
+    """The library's two entry points (see ``_bind``); a pass runs through ``decode`` at beta 0."""
 
-    longest_path: Callable
     table: Callable
     decode: Callable
 
@@ -369,10 +367,6 @@ _PSI_ITEMS = ((0xFF, ctypes.c_uint8, np.uint8), (0xFFFF, ctypes.c_uint16, np.uin
 
 
 def _bind(lib) -> Kernels:
-    pass_fn = lib.dagdecode_pass
-    pass_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
-                        ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
-    pass_fn.restype = ctypes.c_long
     table_fn = lib.dagdecode_table
     table_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
@@ -381,21 +375,6 @@ def _bind(lib) -> Kernels:
     decode_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                           ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     decode_fn.restype = ctypes.c_long
-
-    def longest_path(trans: np.ndarray, bonus: np.ndarray | None, start: float, lam: float):
-        """``decoders._numpy_pass(trans, bonus, start, lam)``, in one compiled call.
-
-        Reads the arrays in place, so refuses (``ValueError``) those that
-        ``_length`` refuses.
-        """
-        n = _length(trans, bonus)
-        # ctypes arrays, not numpy's: ``ndarray.ctypes`` costs microseconds per read.
-        path = (ctypes.c_long * n)()
-        count = pass_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
-                        start, lam, (ctypes.c_double * n)(), path)
-        if count == 0:
-            return None, False
-        return tuple(path[n - abs(count):]), count > 0
 
     def table(trans: np.ndarray, bonus: np.ndarray | None, start: float):
         """``decoders._numpy_table(trans, bonus, start)``, in one compiled call.
@@ -429,4 +408,4 @@ def _bind(lib) -> Kernels:
             return None, -count, passes.value
         return tuple(path[n - count : n]), None, passes.value
 
-    return Kernels(longest_path, table, decode)
+    return Kernels(table, decode)

@@ -233,7 +233,7 @@ def _cmd_score(args) -> dict:
         "scores": {
             "path_logprob": _sig12(path_lp),
             "emission_logprob": _sig12(emis_lp),
-            "joint_logprob": _sig12(path_lp + emis_lp),
+            "joint_logprob": _sig12(scoring.joint_log_prob(instance, args.path, args.tokens)),
         },
     }
     if args.marginal:

@@ -184,8 +184,7 @@ def argmax_hypothesis(instance: Instance, path) -> Hypothesis:
         emission_lp = float(np.sum(instance.best_emission[pos]))
     for name, value in (("path_logprob", path_lp), ("emission_logprob", emission_lp),
                         ("joint_logprob", path_lp + emission_lp)):
-        if not value < np.inf:  # NaN fails it too: a sum that overflowed, then met -inf
-            raise InstanceValidationError([f"the hypothesis' {name} overflows to +inf"])
+        scoring._finite_score(value, f"hypothesis' {name}")
     return Hypothesis(path, instance.best_token[pos].tolist(), path_lp, emission_lp)
 
 
@@ -364,7 +363,7 @@ def _numpy_table(trans: np.ndarray, bonus, start: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet on overflow, as the compiled pass is
 def _numpy_pass(trans: np.ndarray, bonus, start: float, lam: float):
-    """One longest-path pass in numpy: ``_numpy_decode``'s pass, and the compiled pass's reference.
+    """One longest-path pass in numpy, checked, with the compiled pass, through ``_numpy_decode``.
 
     Hop t -> u weighs ``trans[t, u]``, plus ``bonus[u]`` unless ``bonus`` is
     None (PATH), less ``lam``, and the path starts from ``start``. Returns

@@ -3,7 +3,8 @@
 Everything here works in linear probability space with naive products and
 compensated sums, deliberately sharing no arithmetic with the log-space
 decoders it is used to check. Enumeration cost is 2^(L-2) paths, so a hard
-cap on L keeps it honest and fast.
+cap on L keeps it honest and fast. A reported probability that overflows
+to ``+inf`` (unvalidated log-scores near 710) raises InstanceValidationError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, InstanceValidationError
 from .lattice import DecodingPath, Instance, check_tokens
 
 DEFAULT_CAP = 16
@@ -51,12 +52,14 @@ def enumerate_paths(instance: Instance, cap: int = DEFAULT_CAP) -> Iterator[Deco
             yield DecodingPath((1, *combo, L))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call: the results are checked
 def brute_force_best_path(instance: Instance, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """Exact max of the path probability, per length and globally."""
     trans = _prob_table(instance.log_transitions)
-    return _best_over_paths(instance, cap, lambda pos: _hop_product(trans, pos))
+    return _best_over_paths(instance, cap, lambda pos: _hop_product(trans, pos), "path")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call: the results are checked
 def brute_force_best_joint(instance: Instance, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """Exact max of the joint probability with per-position argmax tokens.
 
@@ -73,9 +76,10 @@ def brute_force_best_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Enumer
             p *= best_token_prob[t - 1]
         return p
 
-    return _best_over_paths(instance, cap, score)
+    return _best_over_paths(instance, cap, score, "joint")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per call: the result is checked
 def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> float:
     """Sum of path * emission probability over all paths of matching length.
 
@@ -94,10 +98,14 @@ def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> 
         for t, y in zip(path.positions, toks):
             p *= emis[t - 1, y]
         terms.append(p)
-    return math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum is not
+        total = math.inf
+    return _finite_probability(total, "marginal")
 
 
-def _best_over_paths(instance, cap, score) -> EnumerationResult:
+def _best_over_paths(instance, cap, score, name: str) -> EnumerationResult:
     best_per_length: dict[int, tuple[DecodingPath, float]] = {}
     count = 0
     for path in enumerate_paths(instance, cap):
@@ -109,11 +117,19 @@ def _best_over_paths(instance, cap, score) -> EnumerationResult:
     global_best = None
     for M in sorted(best_per_length):
         entry = best_per_length[M]
+        _finite_probability(entry[1], name)
         if global_best is None or entry[1] >= global_best[1]:
             global_best = entry
     return EnumerationResult(
         best_per_length=best_per_length, global_best=global_best, path_count=count
     )
+
+
+def _finite_probability(value, name: str):
+    """``value``, or InstanceValidationError where it is ``+inf`` or NaN."""
+    if not value < math.inf:  # NaN fails it too: an overflow times a zero
+        raise InstanceValidationError([f"the {name} probability overflows to +inf"])
+    return value
 
 
 def _hop_product(trans_prob: np.ndarray, positions) -> float:

@@ -62,10 +62,9 @@ def translation_given_path_log_prob(instance: Instance, path, tokens) -> float:
 
 
 def joint_log_prob(instance: Instance, path, tokens) -> float:
-    """Log-probability of the (path, tokens) pair."""
-    return path_log_prob(instance, path) + translation_given_path_log_prob(
-        instance, path, tokens
-    )
+    """Log-probability of the (path, tokens) pair; ``+inf`` raises InstanceValidationError."""
+    joint = path_log_prob(instance, path) + translation_given_path_log_prob(instance, path, tokens)
+    return _finite_score(joint, "joint log-probability")
 
 
 def marginal_translation_log_prob(instance: Instance, tokens) -> float:

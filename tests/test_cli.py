@@ -392,6 +392,21 @@ class TestScore:
             "error: instance failed validation: the path log-probability overflows to +inf\n"
         )
 
+    def test_joint_score_overflow_is_data_error(self, capsys, tmp_path):
+        # Hop 1 -> 2 and position 1's only emission score 1e308 each: only the joint overflows.
+        doc = {"L": 2, "V": 1, "log_transitions": [[None, 1e308], [None, None]],
+               "log_emissions": [[1e308], [0.0]]}
+        file = tmp_path / "joint-overflow.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            ["score", "--input", str(file), "--path", "1,2", "--tokens", "0,0", "--no-validate"],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: instance failed validation: the joint log-probability overflows to +inf\n"
+        )
+
     def test_non_integer_path_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(
             capsys, ["score", "--input", str(i4_file), "--path", "1,x", "--tokens", "0,1"]
@@ -443,6 +458,23 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: token id {big} outside")
+
+    @pytest.mark.parametrize("mode", ["path", "joint", "marginal"])
+    def test_probability_overflow_is_data_error(self, capsys, tmp_path, mode):
+        # Hop 2 -> 3 scores 800: exp(800) overflows, so the path 1 -> 2 -> 3 has probability +inf.
+        doc = {"L": 3, "V": 1, "log_transitions": [[None, -0.5, -1.0], [None, None, 800.0],
+                                                   [None] * 3],
+               "log_emissions": [[0.0]] * 3}
+        file = tmp_path / "huge-hop.json"
+        file.write_text(json.dumps(doc))
+        tokens = ["--tokens", "0,0,0"] if mode == "marginal" else []
+        code, out, err = run(
+            capsys, ["oracle", "--input", str(file), "--mode", mode, *tokens, "--no-validate"]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: instance failed validation: the {mode} probability overflows to +inf\n"
+        )
 
     def test_marginal_requires_tokens(self, capsys, i4_file):
         code, _, _ = run(capsys, ["oracle", "--input", str(i4_file), "--mode", "marginal"])

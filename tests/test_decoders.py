@@ -578,8 +578,8 @@ def _compiled_or_skip():
 def _compiled_or_numpy(request, monkeypatch):
     """The compiled kernels, loaded; or (``numpy``) none, as after a failed compile.
 
-    One ``load()`` binds both kernels, so this switches the longest-path pass
-    and the table build together.
+    One ``load()`` binds both kernels, so this switches the search (each of
+    its longest-path passes included) and the table build together.
     """
     if request.param == "compiled":
         _compiled_or_skip()
@@ -594,10 +594,13 @@ def forward_pass(request, monkeypatch):
     return _compiled_or_numpy(request, monkeypatch)
 
 
-def _one_pass(trans, bonus, start, lam):
-    """One longest-path pass: compiled where the kernels load, else numpy's."""
+def _one_pass(trans, bonus, start):
+    """``(path, reason, passes)`` of a beta 0 search, which is one pass at lam 0.
+
+    Compiled where the kernels load, else numpy's.
+    """
     kernels = _cpass.load()
-    return (kernels.longest_path if kernels else decoders._numpy_pass)(trans, bonus, start, lam)
+    return (kernels.decode if kernels else decoders._numpy_decode)(trans, bonus, start, 0.0)
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -886,22 +889,10 @@ def _left_to_right_mean(trans, bonus, start, path) -> float:
 
 
 class TestForwardPasses:
-    """The compiled pass returns what the numpy pass returns; without it, numpy runs."""
+    """The compiled search returns what the numpy search returns; without it, numpy runs."""
 
     def test_compiles_where_a_compiler_is_found(self):
         _compiled_or_skip()
-
-    @pytest.mark.parametrize("mode", [TableMode.PATH, TableMode.JOINT])
-    def test_whole_pass_identical(self, mode):
-        compiled = _compiled_or_skip()
-        cases = _pass_cases(mode)
-        results = set()
-        for trans, bonus, start in cases:
-            for lam in (0.0, -2.5, 0.37, 1.9, -1e308):
-                expected = decoders._numpy_pass(trans, bonus, start, lam)
-                assert compiled.longest_path(trans, bonus, start, lam) == expected
-                results.add(expected[1] if expected[0] else None)
-        assert results == {True, False, None}  # certified, not certified, and no path
 
     def test_whole_loop_identical(self, suite_500):
         # (path, reason, passes) of the compiled loop and of the numpy loop.
@@ -913,12 +904,17 @@ class TestForwardPasses:
         instances.append(_lattice(_MEAN_TIE))
         reasons = set()
         for mode in TableMode:
-            cases = [decoders._hop_weights(inst, mode) for inst in instances] + _pass_cases(mode)
+            pass_cases = _pass_cases(mode)
+            cases = [decoders._hop_weights(inst, mode) for inst in instances] + pass_cases
             for trans, bonus, start in cases:
                 for beta in (0.0, 1.0):
                     expected = decoders._numpy_decode(trans, bonus, start, beta)
                     assert compiled.decode(trans, bonus, start, beta) == expected
                     reasons.add(expected[1])
+            # A beta 0 search is one pass: certified, not certified, and no path.
+            pass_reasons = {decoders._numpy_decode(*case, 0.0)[1] for case in pass_cases}
+            assert pass_reasons == {None, decoders.Fallback.NO_PATH,
+                                    decoders.Fallback.NOT_CERTIFIED}
         assert reasons == {None, *decoders.Fallback}
 
     @pytest.mark.parametrize("L", [150, 400, 600])
@@ -957,17 +953,17 @@ class TestForwardPasses:
     def test_near_tie_is_not_certified(self, forward_pass):
         # Hops 1 -> 2 -> 3 score one ulp above 1 -> 3: the path is the best,
         # but within rounding of another.
-        assert _one_pass(_NEAR_TIE, None, 0.0, 0.0) == ((1, 2, 3), False)
+        assert _one_pass(_NEAR_TIE, None, 0.0) == (None, decoders.Fallback.NOT_CERTIFIED, 1)
 
     @pytest.mark.parametrize("L", [17, 64])
     def test_overflow_gives_no_path(self, forward_pass, L):
         for bonus in (None, np.full(L, 1e307)):  # PATH, JOINT
-            assert _one_pass(_huge_weights(L, L), bonus, 0.0, 0.0) == (None, False)
+            expected = (None, decoders.Fallback.NO_PATH, 1)
+            assert _one_pass(_huge_weights(L, L), bonus, 0.0) == expected
 
     @pytest.mark.parametrize(
         "kernel, scalars",
-        [("longest_path", (0.0, 0.0)), ("table", (0.0,)), ("decode", (0.0, 1.0))],
-        ids=["longest_path", "table", "decode"],
+        [("table", (0.0,)), ("decode", (0.0, 1.0))], ids=["table", "decode"],
     )
     def test_compiled_kernel_reads_arrays_in_place_or_refuses(self, kernel, scalars):
         compiled = getattr(_compiled_or_skip(), kernel)

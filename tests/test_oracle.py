@@ -7,6 +7,7 @@ import pytest
 from dagdecode import (
     EnumerationCapError,
     Instance,
+    InstanceValidationError,
     brute_force_best_joint,
     brute_force_best_path,
     brute_force_marginal,
@@ -143,3 +144,44 @@ class TestMarginal:
 
     def test_no_matching_length_sums_to_zero(self, i4):
         assert brute_force_marginal(i4, [0] * 5) == 0.0
+
+
+def _huge_hop(log_hop: float) -> Instance:
+    """An unvalidated L=3 lattice whose hop 2 -> 3 scores ``log_hop``; hop 1 -> 3 scores -1."""
+    trans = np.full((3, 3), -math.inf)
+    trans[0, 1], trans[0, 2], trans[1, 2] = -0.5, -1.0, log_hop
+    return Instance(L=3, V=1, log_transitions=trans, log_emissions=np.zeros((3, 1)))
+
+
+class TestOverflow:
+    """A reported probability that overflows raises a typed error, without a warning."""
+
+    @pytest.mark.parametrize(
+        "search, name", [(brute_force_best_path, "path"), (brute_force_best_joint, "joint")]
+    )
+    def test_best(self, search, name):
+        # exp(800) overflows, so the path 1 -> 2 -> 3 has probability +inf.
+        with pytest.raises(InstanceValidationError) as caught:
+            search(_huge_hop(800.0))
+        assert str(caught.value) == (
+            f"instance failed validation: the {name} probability overflows to +inf"
+        )
+
+    def test_marginal(self):
+        with pytest.raises(InstanceValidationError) as caught:
+            brute_force_marginal(_huge_hop(800.0), [0, 0, 0])
+        assert str(caught.value) == (
+            "instance failed validation: the marginal probability overflows to +inf"
+        )
+
+    def test_marginal_of_finite_paths_whose_sum_overflows(self):
+        # Paths 1 -> 2 -> 4 and 1 -> 3 -> 4 each have probability exp(709.2), about 1.0e308.
+        trans = np.full((4, 4), -math.inf)
+        trans[0, 1] = trans[0, 2] = trans[1, 3] = trans[2, 3] = 354.6
+        inst = Instance(L=4, V=1, log_transitions=trans, log_emissions=np.zeros((4, 1)))
+        with pytest.raises(InstanceValidationError):
+            brute_force_marginal(inst, [0, 0, 0])
+
+    def test_marginal_over_finite_paths_still_sums(self):
+        # Only the path 1 -> 3 has two positions, and it skips the overflowing hop.
+        assert brute_force_marginal(_huge_hop(800.0), [0, 0]) == math.exp(-1.0)

@@ -277,6 +277,18 @@ class TestScoreOverflow:
         )
         assert path_log_prob(inst, (1, 3)) == -1.0
 
+    def test_joint(self):
+        # Hop 1 -> 2 and position 1's only emission score 1e308 each: both
+        # parts are finite, their sum is not.
+        trans = np.array([[-math.inf, 1e308], [-math.inf, -math.inf]])
+        inst = Instance(L=2, V=1, log_transitions=trans, log_emissions=np.array([[1e308], [0.0]]))
+        assert path_log_prob(inst, (1, 2)) == translation_given_path_log_prob(inst, (1, 2), [0, 0])
+        with pytest.raises(InstanceValidationError) as caught:
+            joint_log_prob(inst, (1, 2), [0, 0])
+        assert str(caught.value) == (
+            "instance failed validation: the joint log-probability overflows to +inf"
+        )
+
     def test_one_huge_emission_still_scores(self, huge):
         assert marginal_translation_log_prob(huge, [1, 0]) == pytest.approx(1e308)
         assert translation_given_path_log_prob(huge, (1, 4), [0, 1]) == pytest.approx(1e308)
