@@ -4,43 +4,38 @@ Run from the root of a checkout:
 
     python3 scripts/bench_fastpath.py --parent REV --out BENCH_mean.json
 
-``REV``'s ``src/`` is exported with ``git archive`` into a temporary
-directory. Each round runs the parent and this checkout's ``src/`` in fresh
-interpreters, one after the other, alternating which goes first. Each run
-reports, on the instances ``lib-decode`` uses at seed 0 (generator seeds
-0-7, every 4th at sparsity 0.3):
+``REV`` must be 01b2358 or later, whose ``benchmark`` takes medians; its
+``src/`` is exported with ``git archive`` into a temporary directory. Each
+round runs the parent and this checkout's ``src/`` in fresh interpreters,
+one after the other, alternating which goes first. The inputs are
+perfbench's at seed 0, made by ``generated`` in ``perfbench/run.py``. Each
+run reports:
 
-- per-call ``decode`` time, median and p90, per strategy and beta;
+- on ``lib-decode``'s 8 instances: per-call ``decode`` time, median and p90,
+  per strategy and beta; and, in a separate untimed sweep, the longest-path
+  passes per call (what ``decoders._longest_path_search`` reports, with the
+  reason of each fallback to the table) and the table builds per call
+  (counted by wrapping ``decoders.build_viterbi_table``);
 - median ``build_viterbi_table`` time per mode on one generated instance
   (seed 0, V=32) at each L of ``TABLE_LENGTHS``;
-- longest-path passes and table builds per call, counted in a separate
-  untimed sweep. Passes are what ``decoders._longest_path_search``
-  reports, with the reason of each fallback to the table; builds are
-  counted by wrapping ``decoders.build_viterbi_table``. The parent must
-  have ``_longest_path_search`` (42e7696 or later);
-- on the instances ``analyze`` uses at seed 0 (16 at L=64, V=16, generator
-  seeds 2000-2015, every 4th at sparsity 0.3), with the four strategies'
-  hypotheses at beta 1: the median time of the 64
-  ``marginal_translation_log_prob`` calls, one per hypothesis, and of one
-  whole ``compare_strategies(..., "marginal", beta=1.0)`` call; the forward
-  passes that call runs (counted by wrapping the public function) and the
-  ``repr`` of its per-strategy averages;
-- acceptance criterion 7's ratio, measured as that test measures it
-  (medians of single decodes), with both medians;
+- on ``analyze``'s 16 instances, with the four strategies' hypotheses at
+  beta 1: the median time of the 64 ``marginal_translation_log_prob``
+  calls, one per hypothesis, and of one whole ``compare_strategies(...,
+  "marginal", beta=1.0)`` call; the forward passes that call runs (counted
+  by wrapping the public function) and the ``repr`` of its averages;
+- acceptance criterion 7's ratio and both medians, from the ``benchmark``
+  call that test makes;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
-- on the four files ``cli-decode`` reads at seed 0 (L=512, V=32, generator
-  seeds 1000-1003, the last at sparsity 0.3; written once, by this
-  checkout), each file in a fresh interpreter per side: ``json.loads`` of
-  its text, ``instance_from_dict(..., run_validation=False)`` and
-  ``validate``, after the imports; and the wall time of a whole
-  ``dagdecode decode --strategy joint-viterbi`` subprocess on it, with the
-  sha256 of its stdout, which must match across sides.
+- on ``cli-decode``'s 4 files (written once, by this checkout), each in a
+  fresh interpreter per side: ``json.loads`` of its text,
+  ``instance_from_dict(..., run_validation=False)`` and ``validate``, after
+  the imports; and the wall time of a whole ``dagdecode decode --strategy
+  joint-viterbi`` subprocess on it, with the sha256 of its stdout, which
+  must match across sides.
 
 The compiled kernels are built, or found in their cache, during the
-warm-up, so no timed call pays for the compiler.
-
-Runs are sequential and single-threaded; every input is generated in the
-child from its seed.
+warm-up, so no timed call pays for the compiler. Runs are sequential and
+single-threaded.
 """
 
 from __future__ import annotations
@@ -64,12 +59,41 @@ TABLE_LENGTHS = (64, 256, 512)
 ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
 #: Timed repetitions per ``--reps`` of the analyze calls, which are short.
 ANALYZE_REPS_PER_REP = 4
-#: Timed rounds over the three criterion 7 instances, as in the test.
-CRITERION7_REPS = 15
-#: ``cli-decode``'s seed-0 files: (generator seed, sparsity), at L=512, V=32.
-PARSE_FILES = ((1000, 0.0), (1001, 0.0), (1002, 0.0), (1003, 0.3))
+#: ``generated``'s (offset, count, L, V) for three perfbench workloads.
+LIB_DECODE, CLI_DECODE, ANALYZE = (0, 8, 256, 32), (1000, 4, 512, 32), (2000, 16, 64, 16)
 #: The ``dagdecode`` console script, as ``perfbench`` runs it.
 CONSOLE = "import sys; from dagdecode.cli import main; sys.argv[0] = 'dagdecode'; main()"
+
+
+def perfbench_inputs(dagdecode, workload: tuple) -> list:
+    """A perfbench workload's seed-0 instances, made by perfbench's own ``generated``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import generated
+
+    return generated(dagdecode, 0, *workload)
+
+
+def median_ms(call, reps: int) -> float:
+    """Median wall time of ``reps`` calls, after one untimed warm-up call, in ms."""
+    call()
+    samples = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples) * 1e3
+
+
+def count_calls(module, name: str) -> list:
+    """Wrap ``module.name`` for the rest of this run; the list gets an item per call."""
+    calls, call = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return call(*args, **kwargs)
+
+    setattr(module, name, counted)
+    return calls
 
 
 def measure(src: str, reps: int) -> dict:
@@ -78,12 +102,7 @@ def measure(src: str, reps: int) -> dict:
     import dagdecode
     from dagdecode import GeneratorConfig, _cpass, decoders, generate_instance
 
-    instances = [
-        generate_instance(
-            GeneratorConfig(L=256, V=32, seed=k, sparsity=0.3 if k % 4 == 0 else 0.0)
-        )
-        for k in range(8)
-    ]
+    instances = perfbench_inputs(dagdecode, LIB_DECODE)
     for strategy in STRATEGIES:  # warm-up: imports, first calls, the compiled kernels
         decoders.decode(instances[0], strategy, 1.0)
     compiled_pass = _cpass.load() is not None
@@ -108,29 +127,18 @@ def measure(src: str, reps: int) -> dict:
     for L in TABLE_LENGTHS:
         inst = generate_instance(GeneratorConfig(L=L, V=32, seed=0))
         for mode in decoders.TableMode:
-            decoders.build_viterbi_table(inst, mode)  # warm-up
-            samples = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                decoders.build_viterbi_table(inst, mode)
-                samples.append(time.perf_counter() - start)
-            table_ms[f"{mode.value} L={L}"] = statistics.median(samples) * 1e3
+            table_ms[f"{mode.value} L={L}"] = median_ms(
+                lambda: decoders.build_viterbi_table(inst, mode), reps
+            )
 
     analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
 
-    builds = 0
-    build = decoders.build_viterbi_table
-
-    def counted(*args, **kwargs):
-        nonlocal builds
-        builds += 1
-        return build(*args, **kwargs)
-
-    decoders.build_viterbi_table = counted
+    builds = count_calls(decoders, "build_viterbi_table")
     work = {}
     for beta in BETAS:
         for strategy in STRATEGIES:
-            builds = passes = 0
+            builds.clear()
+            passes = 0
             reasons = {r.name: 0 for r in decoders.Fallback}
             for inst in instances:
                 _, reason, count = decoders._longest_path_search(
@@ -142,7 +150,7 @@ def measure(src: str, reps: int) -> dict:
                 decoders.decode(inst, strategy, beta)
             work[f"{strategy} beta={beta:g}"] = {
                 "passes_per_call": passes / len(instances),
-                "table_builds_per_call": builds / len(instances),
+                "table_builds_per_call": len(builds) / len(instances),
                 "fallbacks_by_reason_per_call": {
                     name: n / len(instances) for name, n in reasons.items()
                 },
@@ -151,40 +159,25 @@ def measure(src: str, reps: int) -> dict:
     criterion7 = [
         generate_instance(GeneratorConfig(L=256, V=32, seed=99000 + k)) for k in range(3)
     ]
-    pair = ("greedy", "joint-viterbi")
-    for inst in criterion7:  # warm-up, as in the test
-        for strategy in pair:
-            decoders.decode(inst, strategy, 1.0)
-    samples = {strategy: [] for strategy in pair}
-    for _ in range(CRITERION7_REPS):
-        for inst in criterion7:
-            for strategy in pair:
-                start = time.perf_counter()
-                decoders.decode(inst, strategy, 1.0)
-                samples[strategy].append(time.perf_counter() - start)
-    greedy, joint = (statistics.median(samples[strategy]) for strategy in pair)
+    stats = dagdecode.benchmark(criterion7, ["greedy", "joint-viterbi"], repetitions=15, beta=1.0)
+    greedy, joint = stats["greedy"], stats["joint-viterbi"]
     return {
         "compiled_pass": compiled_pass,
         "decode": times,
         "table_build_ms": table_ms,
         "work": work,
         "analyze": analyze,
-        "criterion7_ratio": joint / greedy,
-        "criterion7_greedy_us": greedy * 1e6,
-        "criterion7_joint_viterbi_ms": joint * 1e3,
+        "criterion7_ratio": joint.ratio_vs_baseline,
+        "criterion7_greedy_us": greedy.median_seconds * 1e6,
+        "criterion7_joint_viterbi_ms": joint.median_seconds * 1e3,
     }
 
 
 def measure_analyze(dagdecode, reps: int) -> dict:
-    """Marginal scoring on ``analyze``'s seed-0 instances, as perfbench generates them."""
-    from dagdecode import GeneratorConfig, generate_instance, scoring
+    """Marginal scoring on ``analyze``'s seed-0 instances."""
+    from dagdecode import scoring
 
-    instances = [
-        generate_instance(
-            GeneratorConfig(L=64, V=16, seed=2000 + k, sparsity=0.3 if k % 4 == 3 else 0.0)
-        )
-        for k in range(16)
-    ]
+    instances = perfbench_inputs(dagdecode, ANALYZE)
     pairs = [
         (inst, dagdecode.decode(inst, strategy, 1.0).tokens)
         for inst in instances
@@ -198,33 +191,17 @@ def measure_analyze(dagdecode, reps: int) -> dict:
     def compare():
         return dagdecode.compare_strategies(instances, ANALYZE_STRATEGIES, "marginal", beta=1.0)
 
-    timed = {}
-    for name, call in (("marginal_calls_ms", score_each), ("compare_strategies_ms", compare)):
-        call()  # warm-up
-        samples = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            call()
-            samples.append(time.perf_counter() - start)
-        timed[name] = statistics.median(samples) * 1e3
+    timed = {
+        "marginal_calls_ms": median_ms(score_each, reps),
+        "compare_strategies_ms": median_ms(compare, reps),
+    }
 
-    passes = 0
-    marginal = scoring.marginal_translation_log_prob
-
-    def counted(instance, tokens):
-        nonlocal passes
-        passes += 1
-        return marginal(instance, tokens)
-
-    scoring.marginal_translation_log_prob = counted
-    try:
-        report = compare()
-    finally:
-        scoring.marginal_translation_log_prob = marginal
+    passes = count_calls(scoring, "marginal_translation_log_prob")
+    report = compare()
     return {
         **timed,
         "marginal_calls": len(pairs),
-        "forward_passes_per_compare": passes,
+        "forward_passes_per_compare": len(passes),
         "avg_logprob_repr": {k: repr(v) for k, v in report.per_strategy_avg_logprob.items()},
     }
 
@@ -246,6 +223,7 @@ def measure_parse(src: str, file: str) -> dict:
         "json_loads_ms": (parsed - start) * 1e3,
         "instance_from_dict_ms": (built - parsed) * 1e3,
         "validate_ms": (validated - built) * 1e3,
+        "instance_from_dict_plus_validate_ms": (validated - parsed) * 1e3,
         "violations": len(violations),
     }
 
@@ -253,15 +231,12 @@ def measure_parse(src: str, file: str) -> dict:
 def write_parse_inputs(directory: Path) -> list[Path]:
     """``cli-decode``'s seed-0 files, written by this checkout's generator."""
     sys.path.insert(0, str(ROOT / "src"))
-    from dagdecode import GeneratorConfig, generate_instance, save_instance
+    import dagdecode
 
     files = []
-    for seed, sparsity in PARSE_FILES:
-        path = directory / f"inst_{seed}.json"
-        save_instance(
-            generate_instance(GeneratorConfig(L=512, V=32, seed=seed, sparsity=sparsity)), path
-        )
-        files.append(path)
+    for k, inst in enumerate(perfbench_inputs(dagdecode, CLI_DECODE)):
+        files.append(directory / f"inst_{k}.json")
+        dagdecode.save_instance(inst, files[-1])
     return files
 
 
@@ -295,20 +270,11 @@ def run_side(src: Path, reps: int, files: list[Path]) -> dict:
 def summarize_parse(runs: list[dict]) -> dict:
     """Medians, over every file of every round, of the read stages and the CLI's wall time."""
 
-    def stage(name):
-        return [p[name] for r in runs for p in r["parse"]]
-
     walls = sorted(c["wall_ms"] for r in runs for c in r["cli_decode"])
-    stages = {
-        name: round(statistics.median(stage(name)), 2)
-        for name in ("json_loads_ms", "instance_from_dict_ms", "validate_ms")
-    }
-    parse_validate = [
-        p["instance_from_dict_ms"] + p["validate_ms"] for r in runs for p in r["parse"]
-    ]
+    stages = ("json_loads_ms", "instance_from_dict_ms", "validate_ms",
+              "instance_from_dict_plus_validate_ms")
     return {
-        **stages,
-        "instance_from_dict_plus_validate_ms": round(statistics.median(parse_validate), 2),
+        **{s: round(statistics.median(p[s] for r in runs for p in r["parse"]), 2) for s in stages},
         "violations": sorted({p["violations"] for r in runs for p in r["parse"]}),
         "cli_decode_wall_ms": {
             "median": round(statistics.median(walls), 1),
@@ -415,27 +381,24 @@ def main(argv=None) -> int:
                "--rounds", str(args.rounds), "--reps", str(args.reps)]
     if args.out:
         command += ["--out", str(args.out)]
+    every = runs["parent"] + runs["change"]
     doc = {
         "command": " ".join(command),
         "parent": rev,
         "machine": machine(),
-        "workload": "decode(inst, strategy, beta) on 8 generated L=256 V=32 instances "
-        "(seeds 0-7, every 4th at sparsity 0.3); criterion 7 on seeds 99000-99002 at beta 1; "
-        f"build_viterbi_table on one V=32 instance (seed 0) at L {TABLE_LENGTHS}; "
-        "marginal scoring and compare_strategies on 16 L=64 V=16 instances "
-        "(seeds 2000-2015, every 4th at sparsity 0.3), 4 strategies, beta 1; "
-        "reading and decoding the 4 L=512 V=32 files of cli-decode at seed 0 "
-        "(generator seeds 1000-1003, the last at sparsity 0.3), one fresh interpreter per file",
+        "workload": "perfbench's seed-0 inputs, from its generated(): decode(inst, strategy, "
+        "beta) on lib-decode's 8 L=256 V=32 instances; marginal scoring and compare_strategies "
+        "on analyze's 16 L=64 V=16 instances, 4 strategies, beta 1; reading and decoding "
+        "cli-decode's 4 L=512 V=32 files, one fresh interpreter per file; criterion 7 on "
+        "seeds 99000-99002 at beta 1; build_viterbi_table on one V=32 instance (seed 0) "
+        f"at L {TABLE_LENGTHS}",
         "identical_cli_stdout": len({
-            tuple(c["stdout_sha256"] for c in r["cli_decode"])
-            for r in runs["parent"] + runs["change"]
+            tuple(c["stdout_sha256"] for c in r["cli_decode"]) for r in every
         }) == 1,
-        "identical_work_per_call": all(
-            r["work"] == runs["parent"][0]["work"] for r in runs["parent"] + runs["change"]
-        ),
+        "identical_work_per_call": all(r["work"] == every[0]["work"] for r in every),
         "identical_averages": all(
-            r["analyze"]["avg_logprob_repr"] == runs["parent"][0]["analyze"]["avg_logprob_repr"]
-            for r in runs["parent"] + runs["change"]
+            r["analyze"]["avg_logprob_repr"] == every[0]["analyze"]["avg_logprob_repr"]
+            for r in every
         ),
         "rounds": args.rounds,
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},

@@ -122,25 +122,17 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
    or row[t] + d where bonus is NULL, setting arg[t] = s where c is strictly
    larger, so that the first maximum stays, as np.argmax keeps it. Both selects
    read one max, and arg holds doubles, the scores' width: so gcc vectorizes
-   the loop. */
+   the loop. One loop serves both modes; -O3 unswitches it on bonus. */
 static inline void relax(double *restrict cur, double *restrict arg,
                          const double *restrict row, const double *restrict bonus,
                          double d, double s, long lo, long n)
 {
-    if (bonus)
-        for (long t = lo; t < n; t++) {
-            double c = (row[t] + bonus[t]) + d, o = cur[t];
-            double mx = c > o ? c : o;
-            arg[t] = mx == o ? arg[t] : s;
-            cur[t] = mx;
-        }
-    else
-        for (long t = lo; t < n; t++) {
-            double c = row[t] + d, o = cur[t];
-            double mx = c > o ? c : o;
-            arg[t] = mx == o ? arg[t] : s;
-            cur[t] = mx;
-        }
+    for (long t = lo; t < n; t++) {
+        double c = (bonus ? row[t] + bonus[t] : row[t]) + d, o = cur[t];
+        double mx = c > o ? c : o;
+        arg[t] = mx == o ? arg[t] : s;
+        cur[t] = mx;
+    }
 }
 
 /* The per-length table over the later hops of the n x n table trans, hop

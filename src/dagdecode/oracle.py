@@ -5,6 +5,8 @@ compensated sums, deliberately sharing no arithmetic with the log-space
 decoders it is used to check. Enumeration cost is 2^(L-2) paths, so a hard
 cap on L keeps it honest and fast. A reported probability that overflows
 to ``+inf`` (unvalidated log-scores near 710) raises InstanceValidationError.
+A path whose product is NaN, an overflowing factor times an impossible
+(zero) one, counts as probability 0.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> 
         p = _hop_product(trans, path.positions)
         for t, y in zip(path.positions, toks):
             p *= emis[t - 1, y]
-        terms.append(p)
+        terms.append(p if p == p else 0.0)  # NaN is inf x 0: an impossible path
     try:
         total = math.fsum(terms)
     except OverflowError:  # finite terms whose sum is not
@@ -111,6 +113,8 @@ def _best_over_paths(instance, cap, score, name: str) -> EnumerationResult:
     for path in enumerate_paths(instance, cap):
         count += 1
         p = score(path.positions)
+        if p != p:  # NaN is inf x 0: an impossible path
+            p = 0.0
         M = len(path)
         if M not in best_per_length or p > best_per_length[M][1]:
             best_per_length[M] = (path, p)
@@ -127,7 +131,7 @@ def _best_over_paths(instance, cap, score, name: str) -> EnumerationResult:
 
 def _finite_probability(value, name: str):
     """``value``, or InstanceValidationError where it is ``+inf`` or NaN."""
-    if not value < math.inf:  # NaN fails it too: an overflow times a zero
+    if not value < math.inf:
         raise InstanceValidationError([f"the {name} probability overflows to +inf"])
     return value
 

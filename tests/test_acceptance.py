@@ -9,7 +9,6 @@ probability-ordering direction, speed sanity, and bit-level determinism.
 
 import json
 import math
-import statistics
 import time
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from dagdecode import (
     GeneratorConfig,
     TableMode,
-    backtrace,
+    benchmark,
     brute_force_best_joint,
     brute_force_best_path,
     brute_force_marginal,
@@ -206,30 +205,18 @@ def test_criterion_6_marginal_ordering():
 
 
 def test_criterion_7_speed_sanity():
-    # Each decode is timed on its own, the two strategies alternating, and the
-    # ratio is of medians over 3 instances x 15 repetitions, so a host stall
-    # moves a few samples instead of a mean.
+    # Timed by analysis.benchmark, as `dagdecode bench` times: the ratio of medians of
+    # single decodes over 3 instances x 15 repetitions, the two strategies alternating.
     instances = [
         generate_instance(GeneratorConfig(L=256, V=32, seed=99000 + k)) for k in range(3)
     ]
-    strategies = ("greedy", "joint-viterbi")
-    for inst in instances:  # warm-up: first calls and the compiled kernels
-        for name in strategies:
-            decode(inst, name, beta=1.0)
-    samples = {name: [] for name in strategies}
-    for _ in range(15):
-        for inst in instances:
-            for name in strategies:
-                start = time.perf_counter()
-                decode(inst, name, beta=1.0)
-                samples[name].append(time.perf_counter() - start)
-    greedy, joint = (statistics.median(samples[name]) for name in strategies)
-    ratio = joint / greedy
+    stats = benchmark(instances, ["greedy", "joint-viterbi"], repetitions=15, beta=1.0)
+    greedy, joint = stats["greedy"], stats["joint-viterbi"]
     _report(
         "7 joint-viterbi within 3x greedy at L=256",
-        ratio <= 3.0,
-        f"ratio {ratio:.1f}x (median greedy {greedy * 1e6:.0f}us, "
-        f"joint-viterbi {joint * 1e3:.2f}ms)",
+        joint.ratio_vs_baseline <= 3.0,
+        f"ratio {joint.ratio_vs_baseline:.1f}x (median greedy "
+        f"{greedy.median_seconds * 1e6:.0f}us, joint-viterbi {joint.median_seconds * 1e3:.2f}ms)",
     )
 
 

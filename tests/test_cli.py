@@ -476,6 +476,20 @@ class TestOracle:
             f"error: instance failed validation: the {mode} probability overflows to +inf\n"
         )
 
+    @pytest.mark.parametrize("mode", ["path", "joint"])
+    def test_overflow_times_impossible_is_probability_zero(self, capsys, tmp_path, mode):
+        # Path 1 -> 2 -> 4 scores exp(800) x 0; the best 3-position path is 1 -> 3 -> 4.
+        trans = [[None, 800.0, -1.0, -2.0], [None] * 4, [None, None, None, -1.0], [None] * 4]
+        file = tmp_path / "huge-times-impossible.json"
+        file.write_text(json.dumps({"L": 4, "V": 1, "log_transitions": trans,
+                                    "log_emissions": [[0.0]] * 4}))
+        code, out, err = run(capsys, ["oracle", "--input", str(file), "--mode", mode,
+                                      "--no-validate"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["global_best"] == {
+            "length": 3, "path": [1, 3, 4], "probability": math.exp(-2)
+        }
+
     def test_marginal_requires_tokens(self, capsys, i4_file):
         code, _, _ = run(capsys, ["oracle", "--input", str(i4_file), "--mode", "marginal"])
         assert code == 1

@@ -283,6 +283,21 @@ class TestViterbiTable:
             overflows.add(overflow > 0)
         assert overflows == {True, False}
 
+    @pytest.mark.parametrize("backend", ["compiled", "numpy"])
+    def test_zero_bonus_is_no_bonus(self, backend):
+        # JOINT weights with a zero bonus are PATH weights: the same tables, byte for byte,
+        # and the same searches.
+        numpy = decoders._numpy_table, decoders._numpy_decode
+        table, search = _compiled_or_skip() if backend == "compiled" else numpy
+        for L in [*range(1, 40), 64, 255, 256, 257]:
+            inst = random_instance(L, L=L, V=8, sparsity=0.3 if L % 4 == 0 else 0.0)
+            trans = inst.log_transitions
+            path, joint = (table(trans, bonus, 0.0) for bonus in (None, np.zeros(L)))
+            assert [a.tobytes() for a in path[:2]] == [a.tobytes() for a in joint[:2]]
+            assert path[2] == joint[2] == 0
+            for beta in (0.0, 1.0):
+                assert search(trans, np.zeros(L), 0.0, beta) == search(trans, None, 0.0, beta)
+
 
 class TestSelectLength:
     def test_i4_beta_zero_is_plain_argmax(self, i4):

@@ -153,6 +153,13 @@ def _huge_hop(log_hop: float) -> Instance:
     return Instance(L=3, V=1, log_transitions=trans, log_emissions=np.zeros((3, 1)))
 
 
+def _huge_times_impossible() -> Instance:
+    """An unvalidated L=4 lattice: hops 1 -> 2 of 800, 1 -> 3 and 3 -> 4 of -1, 1 -> 4 of -2."""
+    trans = np.full((4, 4), -math.inf)
+    trans[0, 1], trans[0, 2], trans[2, 3], trans[0, 3] = 800.0, -1.0, -1.0, -2.0
+    return Instance(L=4, V=1, log_transitions=trans, log_emissions=np.zeros((4, 1)))
+
+
 class TestOverflow:
     """A reported probability that overflows raises a typed error, without a warning."""
 
@@ -173,6 +180,16 @@ class TestOverflow:
         assert str(caught.value) == (
             "instance failed validation: the marginal probability overflows to +inf"
         )
+
+    @pytest.mark.parametrize("search", [brute_force_best_path, brute_force_best_joint])
+    def test_overflow_times_impossible_counts_as_zero(self, search):
+        # Path 1 -> 2 -> 4 is NaN in linear space but has probability 0, as 1 -> 2 -> 3 -> 4 has.
+        result = search(_huge_times_impossible())
+        assert (result.global_best[0].positions, result.global_best[1]) == ((1, 3, 4), math.exp(-2))
+        assert result.best_per_length[4][1] == 0.0
+
+    def test_marginal_of_overflow_times_impossible(self):
+        assert brute_force_marginal(_huge_times_impossible(), [0, 0, 0]) == math.exp(-2)
 
     def test_marginal_of_finite_paths_whose_sum_overflows(self):
         # Paths 1 -> 2 -> 4 and 1 -> 3 -> 4 each have probability exp(709.2), about 1.0e308.
