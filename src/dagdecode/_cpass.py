@@ -4,7 +4,7 @@
 ``decoders._numpy_decode`` computes, in one call: at beta 1 the walk that
 seeds the mean, then each longest-path pass (``dagdecode_pass``: the
 forward fill, the checks that the terminal is reached and that no value is
-NaN or ``+inf``, the rounding margin, the backtrace and its certificate),
+``+inf``, the rounding margin, the backtrace and its certificate),
 each path's mean (its hops added left to right) and the stop rules; it
 returns the path or the reason there is none, and the number of passes. A
 beta 0 search is exactly one pass at ``lam`` 0, so a pass is tested and
@@ -15,10 +15,10 @@ straight into their final dtype. On its first call, never at import,
 ``SOURCE`` into it first if it is missing (about 0.4 s), with the system
 C compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
 contraction, so each kernel does numpy's float operations in numpy's order
-and returns what its numpy counterpart returns; and each function on a
-64-byte boundary, so a kernel's speed does not hang on the size of the
-code before it (the same pass machine code, 48 bytes past a boundary, made
-PATH beta 1 searches 7% slower).
+and, on NaN-free weights, returns what its numpy counterpart returns; and
+each function on a 64-byte boundary, so a kernel's speed does not hang on
+the size of the code before it (the same pass machine code, 48 bytes past
+a boundary, made PATH beta 1 searches 7% slower).
 The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where
 that variable is unset, empty or relative; mode 0700); the file name is
 keyed by the CRC-32 of the source, the flags and the machine (``zlib``
@@ -49,22 +49,15 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* max(a, b), keeping a NaN from either side as np.maximum does. Bitwise |,
-   not ||, so that the compiler can vectorize the loops that call it. */
-static inline double maximum(double a, double b)
-{
-    return ((a >= b) | (a != a)) ? a : b;
-}
-
 /* One longest-path pass from position 0 (valued start) to n-1 over the later
    hops of the n x n table trans; hop t -> j weighs trans[t, j] + bonus[j], or
    trans[t, j] alone where bonus is NULL, less lam. f is n doubles of scratch.
    Writes the best path's 0-based positions plus one, in order, to the end of
    path[0 .. n-1] and returns how many there are, negated when the path is
-   not certified; returns 0 where n-1 is unreachable or a value is NaN or
-   +inf. The backtrace takes the first NaN, else the first maximum, as
-   np.argmax does. Every sum is numpy's, in numpy's order. Not inlined into
-   dagdecode_decode: the copy would add about 0.1 s to the compile. */
+   not certified; returns 0 where n-1 is unreachable or a value is +inf.
+   The backtrace takes the first maximum, as np.argmax does. Every sum is
+   numpy's, in numpy's order. Not inlined into dagdecode_decode: the copy
+   would add about 0.1 s to the compile. */
 __attribute__((noinline))
 long dagdecode_pass(const double *restrict trans, const double *restrict bonus, long n,
                     double start, double lam, double *restrict f, long *restrict path)
@@ -78,11 +71,15 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
         const double *row = trans + t * n;
         double d = f[t] - lam;
         if (bonus)
-            for (long j = t + 1; j < n; j++)
-                f[j] = maximum(f[j], (row[j] + bonus[j]) + d);
+            for (long j = t + 1; j < n; j++) {
+                double c = (row[j] + bonus[j]) + d;
+                f[j] = c > f[j] ? c : f[j];
+            }
         else
-            for (long j = t + 1; j < n; j++)
-                f[j] = maximum(f[j], row[j] + d);
+            for (long j = t + 1; j < n; j++) {
+                double c = row[j] + d;
+                f[j] = c > f[j] ? c : f[j];
+            }
     }
     if (!(f[n - 1] > -INFINITY))
         return 0;
@@ -100,13 +97,13 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
     long k = n, u = n - 1;
     path[--k] = n;
     while (u > 0) {
-        double b = bonus ? bonus[u] : 0.0, cutoff = f[u] - margin, best_value = NAN;
+        double b = bonus ? bonus[u] : 0.0, cutoff = f[u] - margin, best_value = -INFINITY;
         long best = -1, near = 0;
         for (long t = 0; t < u; t++) {
             double w = trans[t * n + u];
             double c = (bonus ? w + b : w) + (f[t] - lam);
             near += c >= cutoff;
-            if (best < 0 || (best_value == best_value && (c > best_value || c != c))) {
+            if (c > best_value) {
                 best = t;
                 best_value = c;
             }
@@ -203,8 +200,8 @@ static double mean(const double *restrict trans, const double *restrict bonus, l
 
 /* decoders._walk: from position 0, step to the later j maximizing trans[t, j]
    + bonus[j], or trans[t, j] alone where bonus is NULL, until n-1, taking the
-   first NaN, else the first maximum, as np.argmax does. Writes the 1-based
-   positions to p and returns how many, or 0 where the best step is -inf. */
+   first maximum, as np.argmax does. Writes the 1-based positions to p and
+   returns how many, or 0 where the best step is -inf. */
 static long walk(const double *restrict trans, const double *restrict bonus, long n,
                  long *restrict p)
 {
@@ -212,16 +209,16 @@ static long walk(const double *restrict trans, const double *restrict bonus, lon
     p[k++] = 1;
     while (t + 1 < n) {
         const double *row = trans + t * n;
-        double best_value = NAN;
+        double best_value = -INFINITY;
         long best = -1;
         for (long j = t + 1; j < n; j++) {
             double c = bonus ? row[j] + bonus[j] : row[j];
-            if (best < 0 || (best_value == best_value && (c > best_value || c != c))) {
+            if (c > best_value) {
                 best = j;
                 best_value = c;
             }
         }
-        if (best_value == -INFINITY)
+        if (best < 0)
             return 0;
         t = best;
         p[k++] = t + 1;

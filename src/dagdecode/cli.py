@@ -244,6 +244,8 @@ def _cmd_score(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    if args.mode == "marginal" and args.tokens is None:
+        raise _UsageError("--mode marginal requires --tokens")
     instance, source = _load(args.input, args.no_validate)
     doc = {
         "command": "oracle",
@@ -251,8 +253,6 @@ def _cmd_oracle(args) -> dict:
         "config": {"mode": args.mode, "cap": args.cap},
     }
     if args.mode == "marginal":
-        if args.tokens is None:
-            raise _UsageError("--mode marginal requires --tokens")
         doc["config"]["tokens"] = args.tokens
         doc["marginal_probability"] = oracle.brute_force_marginal(
             instance, args.tokens, cap=args.cap

@@ -1,8 +1,11 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dagdecode
 from dagdecode import (
     TableMode,
     TimingStats,
@@ -17,15 +20,19 @@ from dagdecode import (
 )
 from dagdecode.decoders import STRATEGIES
 
-from conftest import random_batch, random_instance, reference_marginal
+from conftest import random_batch, reference_marginal
+
+#: perfbench's scripts, whose ``run.generated`` makes each workload's instances.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def analyze_inputs():
-    """perfbench's seed-0 ``analyze`` instances: L=64, V=16, seeds 2000-2015, every 4th sparse."""
-    return [
-        random_instance(2000 + k, L=64, V=16, sparsity=0.3 if k % 4 == 3 else 0.0)
-        for k in range(16)
-    ]
+    """perfbench's seed-0 ``analyze`` instances, made by perfbench's own ``generated``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from run import generated
+
+    return generated(dagdecode, 0, 2000, 16, 64, 16)
 
 
 @pytest.fixture

@@ -494,6 +494,17 @@ class TestOracle:
         code, _, _ = run(capsys, ["oracle", "--input", str(i4_file), "--mode", "marginal"])
         assert code == 1
 
+    @pytest.mark.parametrize("content", [None, '{"L": 2}'])
+    def test_marginal_without_tokens_is_usage_error_before_reading(self, capsys, tmp_path,
+                                                                   content):
+        # As decode checks --all-lengths: a missing or malformed file is not read first.
+        file = tmp_path / "inst.json"
+        if content is not None:
+            file.write_text(content)
+        code, out, err = run(capsys, ["oracle", "--input", str(file), "--mode", "marginal"])
+        assert (code, out) == (1, "")
+        assert "--mode marginal requires --tokens" in err
+
     def test_cap_exceeded_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
