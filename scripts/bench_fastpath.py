@@ -1,4 +1,4 @@
-"""Before/after timing of ``decode``, the table build, marginal scoring and reading a file.
+"""Before/after timing of ``decode``, the table build, marginal scoring, the oracle and reading.
 
 Run from the root of a checkout:
 
@@ -25,6 +25,13 @@ run reports:
   by wrapping the public function) and the ``repr`` of its averages;
 - acceptance criterion 7's ratio and both medians, from the ``benchmark``
   call that test makes;
+- on ``oracle-check``'s inputs (offset 3000, V=5) at each L of
+  ``ORACLE_LENGTHS``, with that many instances: the median time of one
+  ``brute_force_best_path`` and one ``brute_force_best_joint`` call, one
+  sweep per run; ``tracemalloc``'s peak over one call of each on the first
+  instance; and the sha256 of every result (each length's path and
+  ``float.hex`` of its probability, the global best and the path count),
+  which must match across sides;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
 - on ``cli-decode``'s 4 files (written once, by this checkout), each in a
   fresh interpreter per side: ``json.loads`` of its text,
@@ -61,6 +68,9 @@ ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
 ANALYZE_REPS_PER_REP = 4
 #: ``generated``'s (offset, count, L, V) for three perfbench workloads.
 LIB_DECODE, CLI_DECODE, ANALYZE = (0, 8, 256, 32), (1000, 4, 512, 32), (2000, 16, 64, 16)
+#: Instances per L for the oracle on ``oracle-check``'s inputs (its own set is L=13); fewer at
+#: L=20, where enumerating one path at a time takes seconds per call.
+ORACLE_LENGTHS = {10: 8, 13: 8, 16: 8, 20: 3}
 #: The ``dagdecode`` console script, as ``perfbench`` runs it.
 CONSOLE = "import sys; from dagdecode.cli import main; sys.argv[0] = 'dagdecode'; main()"
 
@@ -132,6 +142,7 @@ def measure(src: str, reps: int) -> dict:
             )
 
     analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
+    oracle = measure_oracle(dagdecode)
 
     builds = count_calls(decoders, "build_viterbi_table")
     work = {}
@@ -167,6 +178,7 @@ def measure(src: str, reps: int) -> dict:
         "table_build_ms": table_ms,
         "work": work,
         "analyze": analyze,
+        "oracle": oracle,
         "criterion7_ratio": joint.ratio_vs_baseline,
         "criterion7_greedy_us": greedy.median_seconds * 1e6,
         "criterion7_joint_viterbi_ms": joint.median_seconds * 1e3,
@@ -203,6 +215,39 @@ def measure_analyze(dagdecode, reps: int) -> dict:
         "marginal_calls": len(pairs),
         "forward_passes_per_compare": len(passes),
         "avg_logprob_repr": {k: repr(v) for k, v in report.per_strategy_avg_logprob.items()},
+    }
+
+
+def measure_oracle(dagdecode) -> dict:
+    """The exhaustive oracle on ``oracle-check``'s inputs at each L of ``ORACLE_LENGTHS``."""
+    import tracemalloc
+
+    times, peaks, results = {}, {}, []
+    for L, count in ORACLE_LENGTHS.items():
+        instances = perfbench_inputs(dagdecode, (3000, count, L, 5))
+        for mode in ("path", "joint"):
+            search = getattr(dagdecode, f"brute_force_best_{mode}")
+            search(instances[0], cap=L)  # warm-up
+            samples = []
+            for inst in instances:
+                start = time.perf_counter()
+                result = search(inst, cap=L)
+                samples.append(time.perf_counter() - start)
+                results.append([
+                    sorted((M, p.positions, float(v).hex())
+                           for M, (p, v) in result.best_per_length.items()),
+                    result.global_best[0].positions, float(result.global_best[1]).hex(),
+                    result.path_count,
+                ])
+            times[f"{mode} L={L}"] = statistics.median(samples) * 1e3
+            tracemalloc.start()
+            search(instances[0], cap=L)
+            peaks[f"{mode} L={L}"] = tracemalloc.get_traced_memory()[1] / 1024
+            tracemalloc.stop()
+    return {
+        "median_ms": times,
+        "tracemalloc_peak_kb": peaks,
+        "results_sha256": hashlib.sha256(json.dumps(results).encode()).hexdigest(),
     }
 
 
@@ -315,6 +360,13 @@ def summarize(runs: list[dict]) -> dict:
                 for k in ("marginal_calls", "forward_passes_per_compare", "avg_logprob_repr")
             },
         },
+        "oracle_ms": {
+            k: med([r["oracle"]["median_ms"][k] for r in runs])
+            for k in runs[0]["oracle"]["median_ms"]
+        },
+        "oracle_tracemalloc_peak_kb": {
+            k: round(v, 1) for k, v in runs[0]["oracle"]["tracemalloc_peak_kb"].items()
+        },
         "criterion7_ratio": {
             "median": med([r["criterion7_ratio"] for r in runs]),
             "per_round": [round(r["criterion7_ratio"], 2) for r in runs],
@@ -391,7 +443,8 @@ def main(argv=None) -> int:
         "on analyze's 16 L=64 V=16 instances, 4 strategies, beta 1; reading and decoding "
         "cli-decode's 4 L=512 V=32 files, one fresh interpreter per file; criterion 7 on "
         "seeds 99000-99002 at beta 1; build_viterbi_table on one V=32 instance (seed 0) "
-        f"at L {TABLE_LENGTHS}",
+        f"at L {TABLE_LENGTHS}; the oracle on oracle-check's V=5 inputs, "
+        f"{ORACLE_LENGTHS} instances per L",
         "identical_cli_stdout": len({
             tuple(c["stdout_sha256"] for c in r["cli_decode"]) for r in every
         }) == 1,
@@ -400,6 +453,7 @@ def main(argv=None) -> int:
             r["analyze"]["avg_logprob_repr"] == every[0]["analyze"]["avg_logprob_repr"]
             for r in every
         ),
+        "identical_oracle_results": len({r["oracle"]["results_sha256"] for r in every}) == 1,
         "rounds": args.rounds,
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
         "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},

@@ -3,17 +3,21 @@
 Everything here works in linear probability space with naive products and
 compensated sums, deliberately sharing no arithmetic with the log-space
 decoders it is used to check. Enumeration cost is 2^(L-2) paths, so a hard
-cap on L keeps it honest and fast. A reported probability that overflows
-to ``+inf`` (unvalidated log-scores near 710) raises InstanceValidationError.
-A path whose product is NaN, an overflowing factor times an impossible
-(zero) one, counts as probability 0.
+cap on L keeps it honest. Paths are scored as numpy arrays, a block of at
+most ``BLOCK_PATHS`` paths of one length at a time, so memory holds a few
+blocks whatever the number of paths. Each path's product takes the same
+IEEE operations in the same order as a loop over its positions would: its
+hops left to right from 1.0, then its emission factors in position order.
+A reported probability that overflows to ``+inf`` (unvalidated log-scores
+near 710) raises InstanceValidationError. A path whose product is NaN, an
+overflowing factor times an impossible (zero) one, counts as probability 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -23,14 +27,19 @@ from .lattice import DecodingPath, Instance, check_tokens
 
 DEFAULT_CAP = 16
 
+#: Paths per block: a block's arrays hold BLOCK_PATHS x (path length) entries,
+#: so memory grows with L, never with the number of paths of a length.
+BLOCK_PATHS = 4096
+
 
 @dataclass(frozen=True)
 class EnumerationResult:
     """Best path (and probability) per length, the global best, and the count.
 
-    Probabilities are linear-space. Within a length, ties keep the first
-    path in enumeration order (lexicographically smallest); across lengths
-    the longer path wins a tie, matching the decoders' length selection.
+    Probabilities are linear-space ``np.float64``. Within a length, ties keep
+    the first path in enumeration order (lexicographically smallest); across
+    lengths the longer path wins a tie, matching the decoders' length
+    selection.
     """
 
     best_per_length: dict[int, tuple[DecodingPath, float]]
@@ -42,23 +51,20 @@ def enumerate_paths(instance: Instance, cap: int = DEFAULT_CAP) -> Iterator[Deco
     """Yield every endpoint-anchored path: each subset of interior positions.
 
     Paths come out grouped by increasing length and lexicographically
-    within a length. Count is 2^(L-2) for L >= 2, one path for L = 1.
+    within a length, the order in which the scorers see them. Count is
+    2^(L-2) for L >= 2, one path for L = 1.
     """
     L = _check_cap(instance, cap)
-    if L == 1:
-        yield DecodingPath((1,))
-        return
-    interior = range(2, L)
-    for m in range(0, L - 1):
-        for combo in combinations(interior, m):
-            yield DecodingPath((1, *combo, L))
+    for M in _lengths(L):
+        for block in _path_blocks(L, M):
+            for row in (block + 1).tolist():
+                yield DecodingPath(row)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call: the results are checked
 def brute_force_best_path(instance: Instance, cap: int = DEFAULT_CAP) -> EnumerationResult:
     """Exact max of the path probability, per length and globally."""
-    trans = _prob_table(instance.log_transitions)
-    return _best_over_paths(instance, cap, lambda pos: _hop_product(trans, pos), "path")
+    return _best_over_paths(instance, cap, lambda M: (), "path")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call: the results are checked
@@ -68,38 +74,26 @@ def brute_force_best_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Enumer
     Fixing each visited position's token to its most probable one is
     lossless for the max: the best token choice factorizes per position.
     """
-    trans = _prob_table(instance.log_transitions)
-    emis = _prob_table(instance.log_emissions)
-    best_token_prob = emis.max(axis=1)
-
-    def score(pos):
-        p = _hop_product(trans, pos)
-        for t in pos:
-            p *= best_token_prob[t - 1]
-        return p
-
-    return _best_over_paths(instance, cap, score, "joint")
+    best_token_prob = _prob_table(instance.log_emissions).max(axis=1)
+    return _best_over_paths(instance, cap, lambda M: [best_token_prob] * M, "joint")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per call: the result is checked
 def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> float:
     """Sum of path * emission probability over all paths of matching length.
 
-    Linear-space with compensated summation (math.fsum). Returns 0.0 when
-    no path of that length exists.
+    Linear-space with compensated summation (math.fsum), which is exactly
+    rounded, so the order of the terms does not matter. Returns 0.0 when no
+    path of that length exists.
     """
     toks = check_tokens(instance, tokens)
+    L = _check_cap(instance, cap)
     trans = _prob_table(instance.log_transitions)
     emis = _prob_table(instance.log_emissions)
-    M = len(toks)
-    terms = []
-    for path in enumerate_paths(instance, cap):
-        if len(path) != M:
-            continue
-        p = _hop_product(trans, path.positions)
-        for t, y in zip(path.positions, toks):
-            p *= emis[t - 1, y]
-        terms.append(p if p == p else 0.0)  # NaN is inf x 0: an impossible path
+    factors = [emis[:, y] for y in toks]
+    terms = chain.from_iterable(
+        _products(block, trans, factors).tolist() for block in _path_blocks(L, len(toks))
+    )
     try:
         total = math.fsum(terms)
     except OverflowError:  # finite terms whose sum is not
@@ -107,17 +101,21 @@ def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> 
     return _finite_probability(total, "marginal")
 
 
-def _best_over_paths(instance, cap, score, name: str) -> EnumerationResult:
+def _best_over_paths(instance, cap, factors, name: str) -> EnumerationResult:
+    """Each length's first best path, where ``factors(M)`` are its per-position vectors."""
+    L = _check_cap(instance, cap)
+    trans = _prob_table(instance.log_transitions)
     best_per_length: dict[int, tuple[DecodingPath, float]] = {}
     count = 0
-    for path in enumerate_paths(instance, cap):
-        count += 1
-        p = score(path.positions)
-        if p != p:  # NaN is inf x 0: an impossible path
-            p = 0.0
-        M = len(path)
-        if M not in best_per_length or p > best_per_length[M][1]:
-            best_per_length[M] = (path, p)
+    for M in _lengths(L):
+        best, per_position = None, factors(M)
+        for block in _path_blocks(L, M):
+            count += len(block)
+            p = _products(block, trans, per_position)
+            i = int(np.argmax(p))  # the first maximum
+            if best is None or p[i] > best[1]:
+                best = (DecodingPath((block[i] + 1).tolist()), p[i])
+        best_per_length[M] = best
     global_best = None
     for M in sorted(best_per_length):
         entry = best_per_length[M]
@@ -129,18 +127,56 @@ def _best_over_paths(instance, cap, score, name: str) -> EnumerationResult:
     )
 
 
+def _products(block: np.ndarray, trans: np.ndarray, factors) -> np.ndarray:
+    """Each path's linear probability: its hops from 1.0, then ``factors[k]`` at its k-th position.
+
+    One column at a time, so each row takes its loop's IEEE operations in
+    order (``1.0 * x`` is exact). NaN, which is inf x 0, an impossible
+    path, becomes 0.
+    """
+    p = np.ones(len(block))
+    for k in range(block.shape[1] - 1):
+        p *= trans[block[:, k], block[:, k + 1]]
+    for k, factor in enumerate(factors):
+        p *= factor[block[:, k]]
+    p[np.isnan(p)] = 0.0
+    return p
+
+
+def _lengths(L: int) -> range:
+    """The path lengths a lattice of L positions has: 1 alone, or 2 to L."""
+    return range(min(L, 2), L + 1)
+
+
+def _path_blocks(L: int, M: int) -> Iterator[np.ndarray]:
+    """Every path of M positions, 0-based, as ``(n, M)`` blocks of at most BLOCK_PATHS rows.
+
+    Rows are in lexicographic order across blocks; none come out when no
+    path has M positions.
+    """
+    if L == 1 or M < 2:
+        if M == L:
+            yield np.zeros((1, 1), dtype=np.intp)
+        return
+    interior = combinations(range(1, L - 1), M - 2)
+    left = math.comb(L - 2, M - 2)
+    while left:
+        n = min(left, BLOCK_PATHS)
+        left -= n
+        block = np.empty((n, M), dtype=np.intp)
+        block[:, 0] = 0
+        block[:, -1] = L - 1
+        block[:, 1:-1] = np.fromiter(
+            chain.from_iterable(islice(interior, n)), np.intp, n * (M - 2)
+        ).reshape(n, M - 2)
+        yield block
+
+
 def _finite_probability(value, name: str):
     """``value``, or InstanceValidationError where it is ``+inf`` or NaN."""
     if not value < math.inf:
         raise InstanceValidationError([f"the {name} probability overflows to +inf"])
     return value
-
-
-def _hop_product(trans_prob: np.ndarray, positions) -> float:
-    p = 1.0
-    for a, b in zip(positions, positions[1:]):
-        p *= trans_prob[a - 1, b - 1]
-    return p
 
 
 def _prob_table(log_table: np.ndarray) -> np.ndarray:

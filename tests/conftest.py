@@ -4,14 +4,25 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dagdecode import GeneratorConfig, Instance, InstanceFormatError, decoders, generate_instance
+from dagdecode import (
+    DecodingPath,
+    EnumerationCapError,
+    GeneratorConfig,
+    Instance,
+    InstanceFormatError,
+    InstanceValidationError,
+    decoders,
+    generate_instance,
+)
 from dagdecode.lattice import NORMALIZATION_TOL, check_tokens, later_hops
 from dagdecode.logmath import LOG_ZERO, logsumexp
+from dagdecode.oracle import EnumerationResult
 
 # Two fixed lattices used across the suite. The 2-position one admits a
 # single path; the 4-position one has four paths whose products are easy
@@ -279,3 +290,102 @@ def reference_validate(instance: Instance) -> list[str]:
                 f"exceeds {NORMALIZATION_TOL:.0e}"
             )
     return violations
+
+
+# The oracle one path at a time, as it was written before it scored a block
+# of paths as one array: the bit-identity reference for ``dagdecode.oracle``.
+# Paths are tuples here; only each length's best becomes a DecodingPath.
+
+
+def reference_paths(instance: Instance, cap: int = 16, length: int | None = None):
+    """Every path's positions, by increasing length and lexicographically within one.
+
+    Only the paths of ``length`` positions when it is given.
+    """
+    L = instance.L
+    if L > cap:
+        raise EnumerationCapError(f"lattice has {L} positions; enumeration capped at {cap}")
+    if L == 1:
+        if length in (None, 1):
+            yield (1,)
+        return
+    for M in range(2, L + 1):
+        if length in (None, M):
+            for combo in combinations(range(2, L), M - 2):
+                yield (1, *combo, L)
+
+
+def _reference_hop_product(trans_prob: np.ndarray, positions) -> float:
+    p = 1.0
+    for a, b in zip(positions, positions[1:]):
+        p *= trans_prob[a - 1, b - 1]
+    return p
+
+
+def _reference_finite(value, name: str):
+    if not value < math.inf:
+        raise InstanceValidationError([f"the {name} probability overflows to +inf"])
+    return value
+
+
+def _reference_best(instance: Instance, cap: int, score, name: str) -> EnumerationResult:
+    best_per_length = {}
+    count = 0
+    for positions in reference_paths(instance, cap):
+        count += 1
+        p = score(positions)
+        if p != p:  # NaN is inf x 0: an impossible path
+            p = 0.0
+        M = len(positions)
+        if M not in best_per_length or p > best_per_length[M][1]:
+            best_per_length[M] = (DecodingPath(positions), p)
+    global_best = None
+    for M in sorted(best_per_length):
+        entry = best_per_length[M]
+        _reference_finite(entry[1], name)
+        if global_best is None or entry[1] >= global_best[1]:
+            global_best = entry
+    return EnumerationResult(
+        best_per_length=best_per_length, global_best=global_best, path_count=count
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_best_path(instance: Instance, cap: int = 16) -> EnumerationResult:
+    """``brute_force_best_path`` as a loop over the paths."""
+    trans = np.exp(instance.log_transitions)
+    return _reference_best(instance, cap, lambda pos: _reference_hop_product(trans, pos), "path")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_best_joint(instance: Instance, cap: int = 16) -> EnumerationResult:
+    """``brute_force_best_joint`` as a loop over the paths."""
+    trans = np.exp(instance.log_transitions)
+    best_token_prob = np.exp(instance.log_emissions).max(axis=1)
+
+    def score(pos):
+        p = _reference_hop_product(trans, pos)
+        for t in pos:
+            p *= best_token_prob[t - 1]
+        return p
+
+    return _reference_best(instance, cap, score, "joint")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_oracle_marginal(instance: Instance, tokens, cap: int = 16) -> float:
+    """``brute_force_marginal`` as a loop over the paths of the tokens' length."""
+    toks = check_tokens(instance, tokens)
+    trans = np.exp(instance.log_transitions)
+    emis = np.exp(instance.log_emissions)
+    terms = []
+    for positions in reference_paths(instance, cap, len(toks)):
+        p = _reference_hop_product(trans, positions)
+        for t, y in zip(positions, toks):
+            p *= emis[t - 1, y]
+        terms.append(p if p == p else 0.0)
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    return _reference_finite(total, "marginal")

@@ -12,9 +12,58 @@ from dagdecode import (
     brute_force_best_path,
     brute_force_marginal,
     enumerate_paths,
+    oracle,
 )
 
-from conftest import random_batch, random_instance
+from conftest import (
+    funnel,
+    random_batch,
+    random_instance,
+    reference_best_joint,
+    reference_best_path,
+    reference_oracle_marginal,
+    reference_paths,
+    traced_peak,
+)
+
+#: Each search with its one-path-at-a-time reference.
+SEARCHES = [
+    (brute_force_best_path, reference_best_path),
+    (brute_force_best_joint, reference_best_joint),
+]
+SEARCH_IDS = ["path", "joint"]
+SPARSITIES = [0.0, 0.3, 0.7]
+
+
+def _fields(result) -> tuple:
+    """Everything an EnumerationResult holds, each probability as ``float.hex``."""
+    return (
+        {M: (path.positions, float(p).hex()) for M, (path, p) in result.best_per_length.items()},
+        (result.global_best[0].positions, float(result.global_best[1]).hex()),
+        result.path_count,
+    )
+
+
+def _assert_matches_reference(search, reference, inst, **kwargs):
+    """``search`` gives the loop's results, each probability an ``np.float64``.
+
+    The loop gave a Python ``float`` at L=1 in path mode and where a length's best was NaN.
+    """
+    result = search(inst, **kwargs)
+    assert _fields(result) == _fields(reference(inst, **kwargs))
+    probabilities = [p for _, p in result.best_per_length.values()] + [result.global_best[1]]
+    assert {type(p) for p in probabilities} == {np.float64}
+    return result
+
+
+def _funnels(lengths=range(4, 11)) -> list:
+    """Lattices with exact ties (``conftest.funnel``): (instance, a, b, twin_rows); a, b 1-based."""
+    return [
+        (funnel(random_instance(70 * L + a, L=L, V=3), a, twin), a + 1, a + 2, twin)
+        for L in lengths
+        for a in range(1, L - 2)
+        for twin in (True, False)
+    ]
 
 
 class TestEnumeratePaths:
@@ -43,6 +92,74 @@ class TestEnumeratePaths:
         inst = random_instance(5, L=7, V=2)
         for path in enumerate_paths(inst):
             assert path[0] == 1 and path[-1] == 7
+
+    @pytest.mark.parametrize("block", [2, 3, oracle.BLOCK_PATHS])
+    def test_order_matches_reference(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+        for L in range(1, 12):
+            inst = random_instance(L, L=L, V=2)
+            assert [p.positions for p in enumerate_paths(inst)] == list(reference_paths(inst))
+
+
+class TestAgainstLoop:
+    """Every result is bit-identical to the one-path-at-a-time loop, ties and types included."""
+
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    @pytest.mark.parametrize("sparsity", SPARSITIES)
+    def test_generated(self, search, reference, sparsity):
+        for L in range(1, 17):
+            inst = random_instance(L, L=L, V=3, sparsity=sparsity)
+            _assert_matches_reference(search, reference, inst)
+
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    def test_ties_keep_the_first_path(self, search, reference):
+        for inst, a, b, twin_rows in _funnels():
+            result = _assert_matches_reference(search, reference, inst)
+            if twin_rows:  # each path through b has an equal twin through a, which comes first
+                for path, p in result.best_per_length.values():
+                    assert p == 0.0 or (a in path.positions and b not in path.positions)
+
+    @pytest.mark.parametrize("sparsity", SPARSITIES)
+    def test_marginal(self, sparsity):
+        for L in range(1, 15):
+            inst = random_instance(L, L=L, V=3, sparsity=sparsity)
+            for length in range(1, L + 3):  # L=1 with 3 tokens has no path
+                tokens = [(L + k) % 3 for k in range(length)]
+                got = brute_force_marginal(inst, tokens)
+                assert type(got) is float
+                assert got.hex() == reference_oracle_marginal(inst, tokens).hex(), (L, tokens)
+
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    def test_overflow_times_impossible(self, search, reference):
+        _assert_matches_reference(search, reference, _huge_times_impossible())
+
+
+class TestBlocks:
+    """Results do not depend on where the blocks of paths split."""
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    def test_ties_across_block_boundaries(self, monkeypatch, search, reference, block):
+        monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+        for inst, *_ in _funnels(range(4, 9)):
+            _assert_matches_reference(search, reference, inst)
+        _assert_matches_reference(search, reference, _huge_times_impossible())
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_marginal(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+        for inst, *_ in _funnels(range(4, 9)):
+            for length in range(1, inst.L + 2):
+                tokens = [0] * length
+                want = reference_oracle_marginal(inst, tokens)
+                assert brute_force_marginal(inst, tokens).hex() == want.hex()
+
+    def test_memory_is_a_few_blocks(self):
+        # At L=20 the most common length has C(18, 9) = 48,620 paths, whose positions
+        # alone would take 7.8 MB as one array; a block of them takes 0.66 MB.
+        inst = random_instance(0, L=20, V=3)
+        peak = traced_peak(lambda: brute_force_best_joint(inst, cap=20))
+        assert peak < 3 * oracle.BLOCK_PATHS * 20 * np.dtype(np.intp).itemsize
 
 
 class TestBestPath:

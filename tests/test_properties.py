@@ -1,6 +1,6 @@
 """Property tests: the decoders against the exhaustive oracle on random small lattices.
 
-Lattices come from the seeded generator (L <= 9, V <= 4, sparsity 0-0.5).
+Lattices come from the seeded generator (L <= 12, V <= 4, sparsity 0-0.5).
 At beta 0 and 1 ``decode`` finds the table's answer without the table; it
 is checked field by field against ``table_decode``, ties included, and the
 compiled search behind it against the numpy one.
@@ -56,7 +56,7 @@ examples = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def lattices(draw, min_L=1, max_L=9):
+def lattices(draw, min_L=1, max_L=12):
     return random_instance(
         draw(st.integers(0, 2**32 - 1)),
         L=draw(st.integers(min_L, max_L)),
