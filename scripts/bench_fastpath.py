@@ -17,7 +17,11 @@ run reports:
   reason of each fallback to the table) and the table builds per call
   (counted by wrapping ``decoders.build_viterbi_table``);
 - median ``build_viterbi_table`` time per mode on one generated instance
-  (seed 0, V=32) at each L of ``TABLE_LENGTHS``;
+  (seed 0, V=32) at each L of ``TABLE_LENGTHS``, and that of the numpy
+  table (``decoders._numpy_table``) on the same weights; and the sha256 of the
+  tables of those instances and ``lib-decode``'s 8, in both modes (``alpha``,
+  ``psi``'s dtype and bytes, ``feasible_lengths()``), which must match
+  across sides;
 - on ``analyze``'s 16 instances, with the four strategies' hypotheses at
   beta 1: the median time of the 64 ``marginal_translation_log_prob``
   calls, one per hypothesis, and of one whole ``compare_strategies(...,
@@ -133,12 +137,17 @@ def measure(src: str, reps: int) -> dict:
                 "calls": len(samples),
             }
 
-    table_ms = {}
+    table_ms, numpy_table_ms, tables = {}, {}, []
     for L in TABLE_LENGTHS:
         inst = generate_instance(GeneratorConfig(L=L, V=32, seed=0))
+        tables.append(inst)
         for mode in decoders.TableMode:
             table_ms[f"{mode.value} L={L}"] = median_ms(
                 lambda: decoders.build_viterbi_table(inst, mode), reps
+            )
+            weights = decoders._hop_weights(inst, mode)
+            numpy_table_ms[f"{mode.value} L={L}"] = median_ms(
+                lambda: decoders._numpy_table(*weights), reps
             )
 
     analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
@@ -176,6 +185,8 @@ def measure(src: str, reps: int) -> dict:
         "compiled_pass": compiled_pass,
         "decode": times,
         "table_build_ms": table_ms,
+        "numpy_table_ms": numpy_table_ms,
+        "tables_sha256": tables_sha256(dagdecode, tables + instances),
         "work": work,
         "analyze": analyze,
         "oracle": oracle,
@@ -183,6 +194,22 @@ def measure(src: str, reps: int) -> dict:
         "criterion7_greedy_us": greedy.median_seconds * 1e6,
         "criterion7_joint_viterbi_ms": joint.median_seconds * 1e3,
     }
+
+
+def tables_sha256(dagdecode, instances: list) -> str:
+    """The sha256 of each instance's ``build_viterbi_table`` in both modes.
+
+    It covers ``alpha``'s bytes, ``psi``'s dtype and bytes, and ``feasible_lengths()``.
+    """
+    digest = hashlib.sha256()
+    for inst in instances:
+        for mode in dagdecode.TableMode:
+            table = dagdecode.build_viterbi_table(inst, mode)
+            digest.update(table.alpha.tobytes())
+            digest.update(table.psi.dtype.str.encode())
+            digest.update(table.psi.tobytes())
+            digest.update(repr(table.feasible_lengths()).encode())
+    return digest.hexdigest()
 
 
 def measure_analyze(dagdecode, reps: int) -> dict:
@@ -345,8 +372,9 @@ def summarize(runs: list[dict]) -> dict:
             }
             for k in keys
         },
-        "table_build_ms": {
-            k: med([r["table_build_ms"][k] for r in runs]) for k in runs[0]["table_build_ms"]
+        **{
+            name: {k: med([r[name][k] for r in runs]) for k in runs[0][name]}
+            for name in ("table_build_ms", "numpy_table_ms")
         },
         "work_per_call": runs[0]["work"],
         "analyze": {
@@ -454,6 +482,7 @@ def main(argv=None) -> int:
             for r in every
         ),
         "identical_oracle_results": len({r["oracle"]["results_sha256"] for r in every}) == 1,
+        "identical_tables": len({r["tables_sha256"] for r in every}) == 1,
         "rounds": args.rounds,
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
         "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},

@@ -10,8 +10,11 @@ returns the path or the reason there is none, and the number of passes. A
 beta 0 search is exactly one pass at ``lam`` 0, so a pass is tested and
 timed through ``decode`` at beta 0. ``table`` fills the per-length Viterbi
 table, what ``decoders._numpy_table`` computes, writing the backpointers
-straight into their final dtype. On its first call, never at import,
-``load()`` loads the library that holds both from its cache, compiling
+straight into their final dtype, ``np.min_scalar_type(L)`` as there. Both
+fill through one max-plus step, ``relax``: the pass pushes each reachable
+position's row into its scores, the table each source's row into the next
+length's, with the backpointers beside them. On its first call, never at
+import, ``load()`` loads the library that holds both from its cache, compiling
 ``SOURCE`` into it first if it is missing (about 0.4 s), with the system
 C compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
 contraction, so each kernel does numpy's float operations in numpy's order
@@ -49,6 +52,25 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
+/* cur[t] = max(cur[t], c) for t in [lo, n), where c = (row[t] + bonus[t]) + d,
+   or row[t] + d where bonus is NULL; where arg is not NULL, also sets arg[t] = s
+   where c is strictly larger, so that the first maximum stays, as np.argmax
+   keeps it. Both selects read one max, and arg holds doubles, the scores'
+   width: so gcc vectorizes the loop. The one fill loop of both kernels; -O3
+   unswitches it on bonus, and on arg in the pass, which passes NULL. */
+static inline void relax(double *restrict cur, double *restrict arg,
+                         const double *restrict row, const double *restrict bonus,
+                         double d, double s, long lo, long n)
+{
+    for (long t = lo; t < n; t++) {
+        double c = (bonus ? row[t] + bonus[t] : row[t]) + d, o = cur[t];
+        double mx = c > o ? c : o;
+        if (arg)
+            arg[t] = mx == o ? arg[t] : s;
+        cur[t] = mx;
+    }
+}
+
 /* One longest-path pass from position 0 (valued start) to n-1 over the later
    hops of the n x n table trans; hop t -> j weighs trans[t, j] + bonus[j], or
    trans[t, j] alone where bonus is NULL, less lam. f is n doubles of scratch.
@@ -65,22 +87,9 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
     f[0] = start;
     for (long j = 1; j < n; j++)
         f[j] = -INFINITY;
-    for (long t = 0; t + 1 < n; t++) {
-        if (!(f[t] > -INFINITY))
-            continue;
-        const double *row = trans + t * n;
-        double d = f[t] - lam;
-        if (bonus)
-            for (long j = t + 1; j < n; j++) {
-                double c = (row[j] + bonus[j]) + d;
-                f[j] = c > f[j] ? c : f[j];
-            }
-        else
-            for (long j = t + 1; j < n; j++) {
-                double c = row[j] + d;
-                f[j] = c > f[j] ? c : f[j];
-            }
-    }
+    for (long t = 0; t + 1 < n; t++)
+        if (f[t] > -INFINITY)
+            relax(f, NULL, trans + t * n, bonus, f[t] - lam, 0.0, t + 1, n);
     if (!(f[n - 1] > -INFINITY))
         return 0;
     double top = 0.0;
@@ -115,34 +124,19 @@ long dagdecode_pass(const double *restrict trans, const double *restrict bonus, 
     return certified ? n - k : k - n;
 }
 
-/* cur[t] = max(cur[t], c) for t in [lo, n), where c = (row[t] + bonus[t]) + d,
-   or row[t] + d where bonus is NULL, setting arg[t] = s where c is strictly
-   larger, so that the first maximum stays, as np.argmax keeps it. Both selects
-   read one max, and arg holds doubles, the scores' width: so gcc vectorizes
-   the loop. One loop serves both modes; -O3 unswitches it on bonus. */
-static inline void relax(double *restrict cur, double *restrict arg,
-                         const double *restrict row, const double *restrict bonus,
-                         double d, double s, long lo, long n)
-{
-    for (long t = lo; t < n; t++) {
-        double c = (bonus ? row[t] + bonus[t] : row[t]) + d, o = cur[t];
-        double mx = c > o ? c : o;
-        arg[t] = mx == o ? arg[t] : s;
-        cur[t] = mx;
-    }
-}
-
 /* The per-length table over the later hops of the n x n table trans, hop
    t -> j weighing trans[t, j] + bonus[j], or trans[t, j] alone where bonus is
    NULL. Paths start from start at position 0. Writes to alpha[i] the best
    score of an (i+1)-position path from 0 to n-1, and to row i of the zeroed
    n x n psi (items of width 1, 2 or 4 bytes) each position's 1-based
    predecessor on its best (i+1)-position prefix where that prefix's score is
-   finite. f is 3n doubles of scratch. Sources are pushed in ascending order,
-   so the sums and ties are the numpy table's. Returns 0, or, at the first
-   length whose prefix scores hold +inf, stops and returns the first length
-   the numpy table finds +inf or NaN at: this one if n-1 is +inf, else the
-   next. */
+   finite. f is 3n doubles of scratch, never NULL: so gcc knows that arg,
+   taken from f, is not NULL either, and keeps no copy of relax without it.
+   Sources are pushed in ascending order, so the sums and ties are the numpy
+   table's. Returns 0, or, at the first length whose prefix scores hold +inf,
+   stops and returns the first length the numpy table finds +inf or NaN at:
+   this one if n-1 is +inf, else the next. */
+__attribute__((nonnull(8)))
 long dagdecode_table(const double *restrict trans, const double *restrict bonus, long n,
                      double start, double *restrict alpha, void *restrict psi, long width,
                      double *restrict f)
@@ -332,8 +326,8 @@ def _library() -> Path:
     return lib
 
 
-def _length(trans: np.ndarray, bonus: np.ndarray | None) -> int:
-    """L, once ``trans`` and ``bonus`` are known to be arrays a kernel can read in place.
+def _arrays(trans: np.ndarray, bonus: np.ndarray | None) -> tuple[int, int, int | None]:
+    """``(L, trans's address, bonus's or None)``, once a kernel can read both in place.
 
     Refuses (``ValueError``) a ``trans`` that is not a C-contiguous float64
     L x L array with L >= 1 and a ``bonus`` that is neither None nor a
@@ -343,16 +337,11 @@ def _length(trans: np.ndarray, bonus: np.ndarray | None) -> int:
     if not (n >= 1 and trans.dtype == np.float64 and trans.shape == (n, n)
             and trans.flags.c_contiguous):
         raise ValueError("the kernels need C-contiguous float64 L x L transitions, L >= 1")
-    if bonus is not None and not (
-        bonus.dtype == np.float64 and bonus.shape == (n,) and bonus.flags.c_contiguous
-    ):
+    if bonus is None:
+        return n, trans.ctypes.data, None
+    if not (bonus.dtype == np.float64 and bonus.shape == (n,) and bonus.flags.c_contiguous):
         raise ValueError("the kernels need a C-contiguous float64 bonus of length L")
-    return n
-
-
-#: The table's backpointer items by largest L, narrowest first: ``np.min_scalar_type(L)``.
-_PSI_ITEMS = ((0xFF, ctypes.c_uint8, np.uint8), (0xFFFF, ctypes.c_uint16, np.uint16),
-              (0xFFFFFFFF, ctypes.c_uint32, np.uint32))
+    return n, trans.ctypes.data, bonus.ctypes.data
 
 
 def _bind(lib) -> Kernels:
@@ -370,14 +359,13 @@ def _bind(lib) -> Kernels:
 
         Returns the same ``(alpha, psi, overflow)``; where ``overflow`` is not
         0, ``alpha`` and ``psi`` are left part-filled. Reads the arrays in
-        place, so refuses (``ValueError``) those that ``_length`` refuses.
+        place, so refuses (``ValueError``) those that ``_arrays`` refuses.
         """
-        n = _length(trans, bonus)
+        n, trans_at, bonus_at = _arrays(trans, bonus)
         # Zeroed ctypes buffers, viewed by numpy after the call: no ``ndarray.ctypes`` read.
-        item, dtype = next((c, d) for top, c, d in _PSI_ITEMS if n <= top)
-        alpha, psi = (ctypes.c_double * n)(), (item * (n * n))()
-        overflow = table_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
-                            start, alpha, psi, ctypes.sizeof(item),
+        dtype = np.min_scalar_type(n)
+        alpha, psi = (ctypes.c_double * n)(), (ctypes.c_ubyte * (n * n * dtype.itemsize))()
+        overflow = table_fn(trans_at, bonus_at, n, start, alpha, psi, dtype.itemsize,
                             (ctypes.c_double * (3 * n))())
         return np.frombuffer(alpha), np.frombuffer(psi, dtype).reshape(n, n), overflow
 
@@ -386,13 +374,13 @@ def _bind(lib) -> Kernels:
 
         Returns the same ``(path, reason, passes)``, ``reason`` as an int.
         Reads the arrays in place, so refuses (``ValueError``) those that
-        ``_length`` refuses.
+        ``_arrays`` refuses.
         """
-        n = _length(trans, bonus)
+        n, trans_at, bonus_at = _arrays(trans, bonus)
         path = (ctypes.c_long * (2 * n))()
         passes = ctypes.c_long()
-        count = decode_fn(trans.ctypes.data, None if bonus is None else bonus.ctypes.data, n,
-                          start, beta == 1, (ctypes.c_double * n)(), path, ctypes.byref(passes))
+        count = decode_fn(trans_at, bonus_at, n, start, beta == 1, (ctypes.c_double * n)(), path,
+                          ctypes.byref(passes))
         if count < 0:
             return None, -count, passes.value
         return tuple(path[n - count : n]), None, passes.value

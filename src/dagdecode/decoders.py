@@ -28,7 +28,9 @@ that seeds the mean, and then each pass, each path's mean (its hops added
 left to right) and the stop rules; only the hypothesis is then scored in
 numpy. Each pass does the forward fill, the margin, the backtrace and the
 certificate; the table pushes each length's prefix scores forward and
-writes the backpointers in their final dtype. All read the transitions in
+writes the backpointers in their final dtype (``np.min_scalar_type(L)``).
+The pass's fill and the table's push are one max-plus loop, run with and
+without backpointers. All read the transitions in
 place and add the JOINT bonus per column, so none makes an L x L weights
 array. They live in one library, compiled with ``cc`` the first time any
 runs, never at import (about 0.4 s, once per cache), and cached in

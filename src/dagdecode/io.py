@@ -137,13 +137,17 @@ def instance_from_dict(doc, run_validation: bool = True) -> Instance:
 
 
 def parse_instance(text: str, run_validation: bool = True) -> Instance:
-    """Parse a JSON instance document."""
+    """Parse a JSON instance document; InstanceFormatError for text ``json`` cannot read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except RecursionError:
+        raise InstanceFormatError("not valid JSON: nested too deeply to parse") from None
+    except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(doc, run_validation=run_validation)
 
 

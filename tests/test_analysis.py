@@ -91,6 +91,8 @@ class TestCompareStrategies:
     def test_empty_instance_set_rejected(self):
         with pytest.raises(ValueError):
             compare_strategies([], ["greedy"], "joint")
+        with pytest.raises(ValueError, match="empty instance set"):
+            benchmark([], ["greedy"], repetitions=3)
 
     @pytest.mark.parametrize(
         "strategies, message",

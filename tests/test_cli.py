@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import dagdecode
 from dagdecode import Instance, TableMode, save_instance, scoring
-from dagdecode.cli import run_cli
+from dagdecode.cli import main, run_cli
 from dagdecode.decoders import STRATEGIES
 from dagdecode.io import instance_to_dict
 
@@ -163,6 +165,36 @@ class TestDecode:
         assert code == 2
         assert out == ""
         assert err.startswith("error: log_emissions[1][0] must be")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000,
+            '{"L": 2, "meta": ' + "[" * 200_000 + "]" * 200_000 + "}",
+            '{"L": 1' + "0" * 5000 + "}",
+        ],
+        ids=["deep", "deep-meta", "long-integer"],
+    )
+    def test_json_too_deep_or_long_is_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "unreadable.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["decode", "--strategy", "greedy", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: not valid JSON: ")
+
+    def test_vocab_prints_token_strings(self, capsys, tmp_path, i4):
+        path = tmp_path / "words.json"
+        save_instance(Instance(L=4, V=2, log_transitions=i4.log_transitions,
+                               log_emissions=i4.log_emissions, vocab=["yes", "no"]), path)
+        code, out, _ = run(
+            capsys, ["decode", "--strategy", "joint-viterbi", "--beta", "0", "--input", str(path)]
+        )
+        assert code == 0
+        hypothesis = json.loads(out)["hypothesis"]
+        assert hypothesis["tokens"] == [0, 1, 0, 1]
+        assert hypothesis["token_strings"] == ["yes", "no", "yes", "no"]
 
     def test_unknown_strategy_is_usage_error(self, capsys, i4_file):
         code, _, _ = run(capsys, ["decode", "--strategy", "beam", "--input", str(i4_file)])
@@ -528,6 +560,7 @@ class TestGenAnalyzeBench:
                 "--vocab", "3",
                 "--seed", "42",
                 "--count", "3",
+                "--transition-concentration", "0.5",
                 "--out", str(out_dir),
             ],
         )
@@ -537,6 +570,8 @@ class TestGenAnalyzeBench:
             str(out_dir / f"inst_{42 + k}.json") for k in range(3)
         ]
         for entry in listing["files"]:
+            meta = json.loads(Path(entry["path"]).read_text())["meta"]["generator"]
+            assert meta["transition_concentration"] == 0.5
             code, out, _ = run(
                 capsys,
                 [
@@ -625,7 +660,8 @@ class TestGenAnalyzeBench:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--sparsity", "nan"), ("--sparsity", "1.5"), ("--sparsity", "-0.1"), ("--seed", "-3")],
+        [("--sparsity", "nan"), ("--sparsity", "1.5"), ("--sparsity", "-0.1"), ("--seed", "-3"),
+         ("--count", "0")],
     )
     def test_bad_generator_value_is_usage_error(self, capsys, tmp_path, flag, value):
         out_dir = tmp_path / "gen"
@@ -665,6 +701,12 @@ class TestGenAnalyzeBench:
         empty.mkdir()
         code, _, _ = run(capsys, ["analyze", "--inputs", str(empty)])
         assert code == 2
+
+    def test_analyze_inputs_file_is_data_error(self, capsys, i4_file):
+        code, out, err = run(capsys, ["analyze", "--inputs", str(i4_file)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {i4_file} is not a directory\n"
 
     def test_bench_smoke(self, capsys):
         code, out, _ = run(
@@ -728,6 +770,20 @@ class TestHelp:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([]) == 1
         capsys.readouterr()
+
+    def test_main_exits_with_run_cli_code(self, capsys, monkeypatch, i4_file):
+        # In process, as the console script and ``python -m dagdecode.cli`` call it.
+        argv = ["decode", "--strategy", "greedy", "--input", str(i4_file)]
+        expected = run(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["dagdecode", *argv])
+        with pytest.raises(SystemExit) as exited:
+            main()
+        assert (exited.value.code, *capsys.readouterr()) == expected
+        # Not yet imported, so runpy runs the module as __main__ without a warning.
+        monkeypatch.delitem(sys.modules, "dagdecode.cli")
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("dagdecode.cli", run_name="__main__")
+        assert (exited.value.code, *capsys.readouterr()) == expected
 
     def test_python_dash_m_runs_cli(self, i4_file):
         proc = run_python(

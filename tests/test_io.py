@@ -78,6 +78,10 @@ class TestRoundTrip:
         recovered = instance_from_dict(doc)
         assert recovered.vocab == ("aa", "bb")
         assert recovered.meta["generator"]["seed"] == 1
+        text = serialize_instance(recovered)
+        assert json.loads(text)["vocab"] == ["aa", "bb"]
+        assert parse_instance(text) == recovered
+        assert parse_instance(text).vocab == ("aa", "bb")
 
     def test_file_round_trip(self, tmp_path, i4):
         target = tmp_path / "inst.json"
@@ -95,6 +99,30 @@ class TestParseErrors:
     def test_malformed_json(self):
         with pytest.raises(InstanceFormatError, match="line"):
             parse_instance("{not json")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 200_000 + "]" * 200_000, "not valid JSON: nested too deeply"),
+            ('{"L": 1, "V": 1, "log_transitions": [[null]], "log_emissions": [[0.0]], "meta": '
+             + "[" * 200_000 + "]" * 200_000 + "}", "not valid JSON: nested too deeply"),
+            ('{"L": 1' + "0" * 5000 + "}", "not valid JSON: .*digits"),
+            ("[1, 2]", "instance document must be an object, got list"),
+        ],
+        ids=["deep", "deep-meta", "long-integer", "not-an-object"],
+    )
+    def test_unreadable_document(self, text, message):
+        # Valid JSON that json cannot read still gets the typed error, never a
+        # RecursionError or a bare ValueError.
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("vocab", ["ab", ["a", 1], [["a"], "b"]])
+    def test_vocab_must_be_strings(self, i2, vocab):
+        doc = instance_to_dict(i2)
+        doc["vocab"] = vocab
+        with pytest.raises(InstanceFormatError, match="vocab must be a list of strings"):
+            instance_from_dict(doc)
 
     def test_missing_key(self):
         with pytest.raises(InstanceFormatError, match="log_emissions"):

@@ -293,6 +293,10 @@ class TestInstance:
             Instance(L=3, V=2, log_transitions=np.zeros((2, 2)), log_emissions=np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             Instance(L=2, V=3, log_transitions=np.zeros((2, 2)), log_emissions=np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="transitions must be square"):
+            Instance.from_probs(np.zeros((2, 3)), I2_EMISSIONS)
+        with pytest.raises(ShapeError, match="must match transitions size 2"):
+            Instance.from_probs(I2_TRANSITIONS, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("L, V", [(0, 2), (2, 0)])
     def test_empty_size_is_shape_error(self, L, V):
@@ -324,6 +328,10 @@ class TestInstance:
             Instance.from_probs(**tables)
         assert str(caught.value) == message
 
+    def test_not_equal_to_other_types(self, i2):
+        assert i2.__eq__(3) is NotImplemented
+        assert i2 != 3
+
     def test_vocab_length_checked(self):
         with pytest.raises(ShapeError):
             Instance.from_probs(I2_TRANSITIONS, I2_EMISSIONS, vocab=["a"])
@@ -337,6 +345,8 @@ class TestDecodingPath:
     def test_must_start_at_one(self):
         with pytest.raises(PathShapeError):
             DecodingPath((2, 3))
+        with pytest.raises(PathShapeError, match="path is empty"):
+            DecodingPath(())
 
     def test_must_increase(self):
         with pytest.raises(PathShapeError):

@@ -323,6 +323,13 @@ class TestEntropyStats:
             (row1 + row2 + 0.0) / 3, rel=1e-12
         )
 
+    def test_single_position_lattice(self):
+        # No transition rows: the transition entropy is 0, not the mean of none.
+        stats = entropy_stats(Instance.from_probs([[0.0]], [[0.25, 0.75]]))
+        assert stats.transition_entropy == 0.0
+        expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
+        assert stats.prediction_entropy == pytest.approx(expected, rel=1e-12)
+
     def test_nonnegative_and_bounded(self):
         for inst in random_batch(10, seed0=60, L=6, V=4):
             stats = entropy_stats(inst)
