@@ -31,11 +31,13 @@ run reports:
   call that test makes;
 - on ``oracle-check``'s inputs (offset 3000, V=5) at each L of
   ``ORACLE_LENGTHS``, with that many instances: the median time of one
-  ``brute_force_best_path`` and one ``brute_force_best_joint`` call, one
-  sweep per run; ``tracemalloc``'s peak over one call of each on the first
-  instance; and the sha256 of every result (each length's path and
-  ``float.hex`` of its probability, the global best and the path count),
-  which must match across sides;
+  ``brute_force_best_path``, one ``brute_force_best_joint`` and one
+  ``brute_force_marginal`` call (of the instance's joint-viterbi tokens of
+  the feasible length nearest L // 2 + 1, which has the most paths), one
+  sweep per run; ``tracemalloc``'s peak over one call of each
+  on the first instance; and the sha256 of every result (each length's path
+  and ``float.hex`` of its probability, the global best and the path count;
+  the marginal's ``float.hex``), which must match across sides;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
 - on ``cli-decode``'s 4 files (written once, by this checkout), each in a
   fresh interpreter per side: ``json.loads`` of its text,
@@ -246,29 +248,32 @@ def measure_analyze(dagdecode, reps: int) -> dict:
 
 
 def measure_oracle(dagdecode) -> dict:
-    """The exhaustive oracle on ``oracle-check``'s inputs at each L of ``ORACLE_LENGTHS``."""
+    """The exhaustive oracle on ``oracle-check``'s inputs at each L of ``ORACLE_LENGTHS``.
+
+    The marginal scores each instance's joint-viterbi tokens of ``middle_tokens``.
+    """
     import tracemalloc
 
     times, peaks, results = {}, {}, []
     for L, count in ORACLE_LENGTHS.items():
         instances = perfbench_inputs(dagdecode, (3000, count, L, 5))
-        for mode in ("path", "joint"):
-            search = getattr(dagdecode, f"brute_force_best_{mode}")
-            search(instances[0], cap=L)  # warm-up
+        tokens = [middle_tokens(dagdecode, inst) for inst in instances]
+        searches = {
+            "path": lambda k: dagdecode.brute_force_best_path(instances[k], cap=L),
+            "joint": lambda k: dagdecode.brute_force_best_joint(instances[k], cap=L),
+            "marginal": lambda k: dagdecode.brute_force_marginal(instances[k], tokens[k], cap=L),
+        }
+        for mode, search in searches.items():
+            search(0)  # warm-up
             samples = []
-            for inst in instances:
+            for k in range(count):
                 start = time.perf_counter()
-                result = search(inst, cap=L)
+                result = search(k)
                 samples.append(time.perf_counter() - start)
-                results.append([
-                    sorted((M, p.positions, float(v).hex())
-                           for M, (p, v) in result.best_per_length.items()),
-                    result.global_best[0].positions, float(result.global_best[1]).hex(),
-                    result.path_count,
-                ])
+                results.append(oracle_fields(result))
             times[f"{mode} L={L}"] = statistics.median(samples) * 1e3
             tracemalloc.start()
-            search(instances[0], cap=L)
+            search(0)
             peaks[f"{mode} L={L}"] = tracemalloc.get_traced_memory()[1] / 1024
             tracemalloc.stop()
     return {
@@ -276,6 +281,24 @@ def measure_oracle(dagdecode) -> dict:
         "tracemalloc_peak_kb": peaks,
         "results_sha256": hashlib.sha256(json.dumps(results).encode()).hexdigest(),
     }
+
+
+def middle_tokens(dagdecode, inst) -> tuple:
+    """The joint-viterbi tokens of the feasible length nearest L // 2 + 1, which has the most paths."""
+    table = dagdecode.build_viterbi_table(inst, dagdecode.TableMode.JOINT)
+    hypotheses = dagdecode.decode_all_lengths(inst, table)
+    return min(hypotheses, key=lambda h: abs(len(h.tokens) - (inst.L // 2 + 1))).tokens
+
+
+def oracle_fields(result) -> list:
+    """A marginal's ``float.hex``; or each length's path and ``float.hex``, the best and the count."""
+    if isinstance(result, float):
+        return [result.hex()]
+    return [
+        sorted((M, p.positions, float(v).hex()) for M, (p, v) in result.best_per_length.items()),
+        result.global_best[0].positions, float(result.global_best[1]).hex(),
+        result.path_count,
+    ]
 
 
 def measure_parse(src: str, file: str) -> dict:

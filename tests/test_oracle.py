@@ -8,10 +8,12 @@ from dagdecode import (
     EnumerationCapError,
     Instance,
     InstanceValidationError,
+    ShapeError,
     brute_force_best_joint,
     brute_force_best_path,
     brute_force_marginal,
     enumerate_paths,
+    marginal_translation_log_prob,
     oracle,
 )
 
@@ -56,14 +58,32 @@ def _assert_matches_reference(search, reference, inst, **kwargs):
     return result
 
 
-def _funnels(lengths=range(4, 11)) -> list:
-    """Lattices with exact ties (``conftest.funnel``): (instance, a, b, twin_rows); a, b 1-based."""
+def _funnels(lengths=range(4, 11), lowest=1) -> list:
+    """Lattices with exact ties (``conftest.funnel``): (instance, a, b, twin_rows); a, b 1-based.
+
+    The tied pair is 0-based ``(a, a + 1)`` for each ``a >= lowest``.
+    """
     return [
         (funnel(random_instance(70 * L + a, L=L, V=3), a, twin), a + 1, a + 2, twin)
         for L in lengths
-        for a in range(1, L - 2)
+        for a in range(lowest, L - 2)
         for twin in (True, False)
     ]
+
+
+def _dyadic(seed: int, L: int) -> Instance:
+    """An unnormalized lattice whose hops and emissions are 1/2 or 1/4, so many paths tie exactly.
+
+    Every product is a power of two, so paths of one length that differ in
+    several positions tie: the first of them in lexicographic order often
+    lies in a later block than an equal one, and within a block, a set such
+    as {2, 5} comes before {3, 4} although its bit mask is larger.
+    """
+    rng = np.random.default_rng(seed)
+    trans = np.triu(rng.choice([0.5, 0.25], size=(L, L)), k=1)
+    emis = rng.choice([0.5, 0.25], size=(L, 2))
+    with np.errstate(divide="ignore"):
+        return Instance(L=L, V=2, log_transitions=np.log(trans), log_emissions=np.log(emis))
 
 
 class TestEnumeratePaths:
@@ -96,7 +116,7 @@ class TestEnumeratePaths:
     @pytest.mark.parametrize("block", [2, 3, oracle.BLOCK_PATHS])
     def test_order_matches_reference(self, monkeypatch, block):
         monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
-        for L in range(1, 12):
+        for L in range(1, 17):
             inst = random_instance(L, L=L, V=2)
             assert [p.positions for p in enumerate_paths(inst)] == list(reference_paths(inst))
 
@@ -135,9 +155,12 @@ class TestAgainstLoop:
 
 
 class TestBlocks:
-    """Results do not depend on where the blocks of paths split."""
+    """Results do not depend on where the blocks of paths split.
 
-    @pytest.mark.parametrize("block", [2, 3])
+    A block of 1 path leaves no low positions, so every path is its own block.
+    """
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
     def test_ties_across_block_boundaries(self, monkeypatch, search, reference, block):
         monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
@@ -145,7 +168,33 @@ class TestBlocks:
             _assert_matches_reference(search, reference, inst)
         _assert_matches_reference(search, reference, _huge_times_impossible())
 
-    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize(
+        "block, lengths",
+        [(4, range(6, 10)), (oracle.BLOCK_PATHS, [16])],
+        ids=["block-4", "block-default"],
+    )
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    def test_ties_above_the_low_positions(self, monkeypatch, search, reference, block, lengths):
+        # Both tied positions are high, so each tie is between two blocks.
+        monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+        low = block.bit_length() - 1
+        funnels = _funnels(lengths, lowest=low + 1)
+        assert funnels
+        for inst, a, b, twin_rows in funnels:
+            result = _assert_matches_reference(search, reference, inst)
+            if twin_rows:
+                for path, p in result.best_per_length.values():
+                    assert p == 0.0 or (a in path.positions and b not in path.positions)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 8, oracle.BLOCK_PATHS])
+    @pytest.mark.parametrize("search, reference", SEARCHES, ids=SEARCH_IDS)
+    def test_many_exact_ties(self, monkeypatch, search, reference, block):
+        monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
+        for L in range(3, 10):
+            for seed in range(4):
+                _assert_matches_reference(search, reference, _dyadic(10 * L + seed, L))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
     def test_marginal(self, monkeypatch, block):
         monkeypatch.setattr(oracle, "BLOCK_PATHS", block)
         for inst, *_ in _funnels(range(4, 9)):
@@ -156,9 +205,11 @@ class TestBlocks:
 
     def test_memory_is_a_few_blocks(self):
         # At L=20 the most common length has C(18, 9) = 48,620 paths, whose positions
-        # alone would take 7.8 MB as one array; a block of them takes 0.66 MB.
+        # alone would take 7.8 MB as one array, and whose terms 1.6 MB as one list.
         inst = random_instance(0, L=20, V=3)
         peak = traced_peak(lambda: brute_force_best_joint(inst, cap=20))
+        assert peak < 3 * oracle.BLOCK_PATHS * 20 * np.dtype(np.intp).itemsize
+        peak = traced_peak(lambda: brute_force_marginal(inst, [0] * 10, cap=20))
         assert peak < 3 * oracle.BLOCK_PATHS * 20 * np.dtype(np.intp).itemsize
 
 
@@ -261,6 +312,14 @@ class TestMarginal:
 
     def test_no_matching_length_sums_to_zero(self, i4):
         assert brute_force_marginal(i4, [0] * 5) == 0.0
+
+    def test_empty_tokens_are_a_shape_error(self, i4):
+        # As in the log-space marginal that the oracle checks.
+        with pytest.raises(ShapeError) as scored:
+            marginal_translation_log_prob(i4, [])
+        with pytest.raises(ShapeError) as enumerated:
+            brute_force_marginal(i4, [])
+        assert str(enumerated.value) == str(scored.value) == "token sequence is empty"
 
 
 def _huge_hop(log_hop: float) -> Instance:
