@@ -34,8 +34,10 @@ run reports:
   ``brute_force_best_path``, one ``brute_force_best_joint`` and one
   ``brute_force_marginal`` call (of the instance's joint-viterbi tokens of
   the feasible length nearest L // 2 + 1, which has the most paths), one
-  sweep per run; ``tracemalloc``'s peak over one call of each
-  on the first instance; and the sha256 of every result (each length's path
+  sweep per run, summarized as the median over rounds with each round's
+  value, whose range is the round-to-round spread; ``tracemalloc``'s peak
+  over one call of each on the first instance, its subsets already cached;
+  and the sha256 of every result (each length's path
   and ``float.hex`` of its probability, the global best and the path count;
   the marginal's ``float.hex``), which must match across sides;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
@@ -74,9 +76,8 @@ ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
 ANALYZE_REPS_PER_REP = 4
 #: ``generated``'s (offset, count, L, V) for three perfbench workloads.
 LIB_DECODE, CLI_DECODE, ANALYZE = (0, 8, 256, 32), (1000, 4, 512, 32), (2000, 16, 64, 16)
-#: Instances per L for the oracle on ``oracle-check``'s inputs (its own set is L=13); fewer at
-#: L=20, where enumerating one path at a time takes seconds per call.
-ORACLE_LENGTHS = {10: 8, 13: 8, 16: 8, 20: 3}
+#: Instances per L for the oracle on ``oracle-check``'s inputs (its own set is L=13).
+ORACLE_LENGTHS = {10: 8, 13: 8, 16: 8, 20: 8}
 #: The ``dagdecode`` console script, as ``perfbench`` runs it.
 CONSOLE = "import sys; from dagdecode.cli import main; sys.argv[0] = 'dagdecode'; main()"
 
@@ -413,6 +414,10 @@ def summarize(runs: list[dict]) -> dict:
         },
         "oracle_ms": {
             k: med([r["oracle"]["median_ms"][k] for r in runs])
+            for k in runs[0]["oracle"]["median_ms"]
+        },
+        "oracle_ms_per_round": {
+            k: [round(r["oracle"]["median_ms"][k], 4) for r in runs]
             for k in runs[0]["oracle"]["median_ms"]
         },
         "oracle_tracemalloc_peak_kb": {

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import signal
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -70,6 +71,8 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed reader ends the command, as it ends `cat`
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli())
 
 

@@ -59,7 +59,7 @@ from .errors import (
     InstanceValidationError,
     UnreachableTerminalError,
 )
-from .lattice import DecodingPath, Hypothesis, Instance, later_hops
+from .lattice import DecodingPath, Hypothesis, Instance, as_integer, later_hops
 from .logmath import LOG_ZERO
 
 STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
@@ -164,6 +164,7 @@ def select_length(table: ViterbiTable, beta: float) -> LengthSelection:
 def backtrace(table: ViterbiTable, M: int) -> DecodingPath:
     """Recover the best length-M path by walking backpointers from the end."""
     L = table.L
+    M = as_integer(M, InfeasibleLengthError, "path length")
     if not 1 <= M <= L or not np.isfinite(table.alpha[M - 1]):
         raise InfeasibleLengthError(f"no path of length {M} reaches the terminal")
     positions = [L]

@@ -10,6 +10,7 @@ Positions are 1-based everywhere a human sees them; array indexing is 0-based.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -66,6 +67,8 @@ class Instance:
     best_emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        as_integer(self.L, ShapeError, "L")
+        as_integer(self.V, ShapeError, "V")
         if self.L < 1 or self.V < 1:
             raise ShapeError(f"L and V must be >= 1, got L={self.L} V={self.V}")
         # C order, whatever the input's: the compiled pass reads rows in place.
@@ -156,7 +159,7 @@ class DecodingPath:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(int(p) for p in self.positions)
+        pos = _as_integers(self.positions, PathShapeError, "path position")
         object.__setattr__(self, "positions", pos)
         if not pos:
             raise PathShapeError("path is empty")
@@ -201,7 +204,7 @@ class Hypothesis:
 
     def __post_init__(self):
         object.__setattr__(self, "path", as_path(self.path))
-        object.__setattr__(self, "tokens", tuple(int(y) for y in self.tokens))
+        object.__setattr__(self, "tokens", _as_integers(self.tokens, VocabError, "token id"))
         if len(self.tokens) != len(self.path):
             raise ShapeError(
                 f"{len(self.tokens)} tokens for a path of length {len(self.path)}"
@@ -219,7 +222,7 @@ class Hypothesis:
 
 def check_tokens(instance: Instance, tokens) -> np.ndarray:
     """Coerce a token sequence to an int array, rejecting out-of-vocab ids."""
-    ids = [int(y) for y in tokens]
+    ids = _as_integers(tokens, VocabError, "token id")
     try:
         toks = np.asarray(ids, dtype=np.intp)
     except OverflowError:
@@ -228,6 +231,23 @@ def check_tokens(instance: Instance, tokens) -> np.ndarray:
         bad = next(y for y in ids if not 0 <= y < instance.V)
         raise VocabError(f"token id {bad} outside vocabulary of size {instance.V}")
     return toks
+
+
+def as_integer(value, error: type[Exception], name: str) -> int:
+    """``value`` read with ``operator.index``, or ``error`` naming it: 2.9 or "2" is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_integers(values, error: type[Exception], name: str) -> tuple[int, ...]:
+    """Each of ``values`` by :func:`as_integer`, one ``map`` where all are integers."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(as_integer(v, error, name) for v in values)
 
 
 #: Rows per block in :func:`validate`: its temporaries hold a few blocks of

@@ -10,16 +10,16 @@ left to right from 1.0, then its emission factors in position order.
 No path's positions are listed. Every path from 1 to L extends a prefix
 through the low interior positions 2..s+1 (1-based), s = min(L-2,
 floor(log2(BLOCK_PATHS))), so the hop products of those 2^s prefixes are
-built once, as a table indexed by the bit mask of the positions taken,
-each in one multiply from a shorter prefix's. A block is one set of high
-interior positions (above s+1), then L, after each of the 2^s prefixes:
-one multiply per path joins a prefix to the block's first high position,
-and each further hop is one scalar multiply for the whole block, so memory
+built once, size by size: each is its parent's (the same prefix without
+its last position) times one hop. A block is one set of high interior
+positions (above s+1), then L, after each of the 2^s prefixes: one
+multiply per path joins a prefix to the block's first high position, and
+each further hop is one scalar multiply for the whole block, so memory
 holds a few blocks of 2^s <= BLOCK_PATHS products whatever the number of
 paths. The emissions follow in position order: at a low position a prefix
 skips, the joint search multiplies by 1.0, which is exact; the marginal
-scores the prefixes of one size at a time, whose k-th position emits the
-k-th token.
+builds only the sizes it reads and scores one size at a time, whose k-th
+position emits the k-th token.
 
 Within a block the prefixes are kept by size, then lexicographically, so
 ``np.argmax`` gives each length's first best path there. Across blocks a
@@ -94,7 +94,7 @@ def brute_force_best_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Enumer
     Fixing each visited position's token to its most probable one is
     lossless for the max: the best token choice factorizes per position.
     """
-    best_token_prob = _prob_table(instance.log_emissions).max(axis=1)
+    best_token_prob = np.exp(instance.log_emissions).max(axis=1)
     return _best_over_paths(instance, cap, best_token_prob, "joint")
 
 
@@ -120,18 +120,18 @@ def brute_force_marginal(instance: Instance, tokens, cap: int = DEFAULT_CAP) -> 
 
 def _marginal_blocks(instance: Instance, toks: np.ndarray, L: int) -> Iterator[list[float]]:
     """Each block's probabilities of the paths of ``len(toks)`` positions emitting ``toks``."""
-    trans = _prob_table(instance.log_transitions)
-    emis = _prob_table(instance.log_emissions)
+    trans = np.exp(instance.log_transitions)
+    emis = np.exp(instance.log_emissions)
     s = _low_count(L)
-    starts = _low_sets(s)[1]
-    prefix, last = _prefixes(trans, s)
-    for c in range(min(s, len(toks) - 1) + 1):
+    top = min(s, len(toks) - 1)
+    rows, _, starts, last, _ = _low_sets(s)
+    prefix = _prefixes(trans, s, top)
+    for c in range(top + 1):
         tails = list(_tails(L, s, len(toks) - 1 - c))
         if not tails:
             continue
         size = slice(starts[c], starts[c + 1])
-        low = _low_positions(s, c)
-        low_factors = [emis[low[:, k], toks[1 + k]] for k in range(c)]
+        low_factors = [emis[rows[c][:, k], toks[1 + k]] for k in range(c)]
         for tail in tails:
             p = _hop_products(prefix[size], last[size], trans, tail)
             p *= emis[0, toks[0]]
@@ -146,10 +146,10 @@ def _marginal_blocks(instance: Instance, toks: np.ndarray, L: int) -> Iterator[l
 def _best_over_paths(instance, cap, factor, name: str) -> EnumerationResult:
     """Each length's first best path; ``factor`` is the joint's per-position one, or None."""
     L = _check_cap(instance, cap)
-    trans = _prob_table(instance.log_transitions)
+    trans = np.exp(instance.log_transitions)
     s = _low_count(L)
-    _, starts, taken = _low_sets(s)
-    prefix, last = _prefixes(trans, s)
+    rows, _, starts, last, taken = _low_sets(s)
+    prefix = _prefixes(trans, s, s)
     if factor is not None:
         low_factors = np.where(taken.T, factor[1 : s + 1, None], 1.0)
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -171,10 +171,10 @@ def _best_over_paths(instance, cap, factor, name: str) -> EnumerationResult:
                 held = best.get(M)
                 if held is not None and top < held[0]:
                     continue
-                i = starts[c] + int(np.argmax(p[starts[c] : starts[c + 1]]))  # the first maximum
-                positions = (0, *(np.flatnonzero(taken[i]) + 1).tolist(), *tail)
+                k = int(np.argmax(p[starts[c] : starts[c + 1]]))  # the first maximum
+                positions = (0, *rows[c][k].tolist(), *tail)
                 if held is None or top > held[0] or positions < held[1]:
-                    best[M] = (p[i], positions)
+                    best[M] = (p[starts[c] + k], positions)
     best_per_length = {
         M: (DecodingPath([t + 1 for t in best[M][1]]), best[M][0]) for M in sorted(best)
     }
@@ -194,40 +194,46 @@ def _low_count(L: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _low_sets(s: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def _low_sets(s: int) -> tuple[tuple, np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
     """The 2^s subsets of the low positions 1..s (0-based), by size, then lexicographically.
 
-    ``order`` holds each subset's mask (bit j - 1 for position j),
-    ``starts[c]`` where the subsets of size c begin in it (and
-    ``starts[s + 1]`` its end), and column j - 1 of ``taken`` whether each
-    takes position j.
+    ``rows[c]`` holds the subsets of size c, one row of positions each, and
+    ``starts[c]`` where they begin in the table of all 2^s (``starts[s + 1]``
+    its end). Per subset in that table, ``parent`` is the index of the same
+    subset without its last position, ``last`` that position (0 for the
+    empty subset) and ``taken[:, j - 1]`` whether it takes position j.
     """
-    order, starts = [], []
-    for c in range(s + 1):
-        starts.append(len(order))
-        order.extend(sum(1 << (j - 1) for j in low) for low in combinations(range(1, s + 1), c))
-    starts.append(len(order))
-    order = np.array(order, dtype=np.intp)
-    taken = (order[:, None] >> np.arange(s)) & 1 == 1
-    order.flags.writeable = taken.flags.writeable = False  # shared by every call
-    return order, tuple(starts), taken
+    parent, last = np.zeros(1 << s, dtype=np.intp), np.zeros(1 << s, dtype=np.intp)
+    taken = np.zeros((1 << s, s), dtype=bool)
+    # A byte per position in ``rows`` (s < 64): they are most of what the cache holds.
+    rows, starts = [np.zeros((1, 0), dtype=np.int8)], [0, 1]
+    for c in range(1, s + 1):
+        # Each subset of size c - 1 extends, in order, by each position above its last.
+        up, j = np.nonzero(last[starts[c - 1] : starts[c], None] <= np.arange(s))
+        size = slice(starts[c], starts[c] + len(up))
+        parent[size], last[size] = starts[c - 1] + up, j + 1
+        rows.append(np.column_stack([rows[c - 1][up], j + 1]).astype(np.int8))
+        taken[size] = taken[parent[size]] | (np.arange(s) == j[:, None])
+        starts.append(size.stop)
+    for array in (parent, last, taken, *rows):  # shared by every call
+        array.flags.writeable = False
+    return tuple(rows), parent, tuple(starts), last, taken
 
 
-def _prefixes(trans: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hop product, from 1.0 left to right, and last position of each prefix 0, low subset.
+def _prefixes(trans: np.ndarray, s: int, top: int) -> np.ndarray:
+    """The hop product, from 1.0 left to right, of each prefix 0, low subset, up to size ``top``.
 
-    Both are in ``_low_sets`` order. Position j extends each prefix through
-    lower positions only, so the table doubles in one multiply per prefix;
-    the empty prefix gives ``1.0 * hop``, the loop's first operation.
+    In ``_low_sets`` order, built size by size: each is its parent's times
+    one hop, so the empty prefix's 1.0 gives ``1.0 * hop``, the loop's
+    first operation.
     """
-    products = np.ones(1 << s)
-    last = np.zeros(1 << s, dtype=np.intp)
-    for j in range(1, s + 1):
-        h = 1 << (j - 1)
-        products[h : 2 * h] = products[:h] * trans[last[:h], j]
-        last[h : 2 * h] = j
-    order = _low_sets(s)[0]
-    return products[order], last[order]
+    _, parent, starts, last, _ = _low_sets(s)
+    products = np.ones(starts[top + 1])
+    for c in range(1, top + 1):
+        size = slice(starts[c], starts[c + 1])
+        up = parent[size]
+        products[size] = products[up] * trans[last[up], last[size]]
+    return products
 
 
 def _tails(L: int, s: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -253,23 +259,11 @@ def _hop_products(prefix: np.ndarray, last: np.ndarray, trans: np.ndarray, tail)
     return p
 
 
-@lru_cache(maxsize=None)
-def _low_positions(s: int, c: int) -> np.ndarray:
-    """The subsets of c low positions 1..s (0-based) in ``_low_sets`` order, one row each."""
-    positions = np.array(list(combinations(range(1, s + 1), c)), dtype=np.intp)
-    positions.flags.writeable = False  # shared by every call
-    return positions
-
-
 def _finite_probability(value, name: str):
     """``value``, or InstanceValidationError where it is ``+inf`` or NaN."""
     if not value < math.inf:
         raise InstanceValidationError([f"the {name} probability overflows to +inf"])
     return value
-
-
-def _prob_table(log_table: np.ndarray) -> np.ndarray:
-    return np.exp(log_table)
 
 
 def _check_cap(instance: Instance, cap: int) -> int:

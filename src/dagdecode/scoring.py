@@ -21,7 +21,7 @@ from .errors import (
     PathShapeError,
     ShapeError,
 )
-from .lattice import DecodingPath, Instance, as_path, check_tokens, later_hops
+from .lattice import DecodingPath, Instance, as_integer, as_path, check_tokens, later_hops
 from .logmath import entropy_nats, logsumexp
 
 
@@ -135,6 +135,7 @@ def entropy_stats(instance: Instance) -> EntropyStats:
 
 def argmax_emission(instance: Instance, position: int) -> tuple[int, float]:
     """Most probable token at a 1-based position; ties go to the smallest id."""
+    position = as_integer(position, PathShapeError, "position")
     if not 1 <= position <= instance.L:
         raise PathShapeError(
             f"position {position} outside lattice of {instance.L} positions"

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import runpy
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +18,15 @@ from dagdecode.decoders import STRATEGIES
 from dagdecode.io import instance_to_dict
 
 from conftest import run_python, with_transitions
+
+
+@pytest.fixture
+def keep_sigpipe():
+    """Puts back this process's SIGPIPE action, which ``main`` sets to the default."""
+    handler = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    yield
+    if handler is not None:
+        signal.signal(signal.SIGPIPE, handler)
 
 
 @pytest.fixture
@@ -771,7 +783,7 @@ class TestHelp:
         assert run_cli([]) == 1
         capsys.readouterr()
 
-    def test_main_exits_with_run_cli_code(self, capsys, monkeypatch, i4_file):
+    def test_main_exits_with_run_cli_code(self, capsys, monkeypatch, i4_file, keep_sigpipe):
         # In process, as the console script and ``python -m dagdecode.cli`` call it.
         argv = ["decode", "--strategy", "greedy", "--input", str(i4_file)]
         expected = run(capsys, argv)
@@ -797,3 +809,20 @@ class TestHelp:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_stdout_pipe_ends_without_a_traceback(self, i4_file):
+        # As `dagdecode decode ... | head -c 100` does, with the reader gone before any output.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from dagdecode.cli import main; main()", "decode",
+                 "--strategy", "viterbi", "--input", str(i4_file), "--all-lengths"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(Path(dagdecode.__file__).parents[1])),
+            )
+        finally:
+            os.close(write)
+        assert proc.stderr == ""
+        assert proc.returncode == -signal.SIGPIPE

@@ -357,6 +357,13 @@ class TestBacktrace:
         with pytest.raises(InfeasibleLengthError):
             backtrace(table, 5)
 
+    def test_non_integral_length(self, i4):
+        # Once an untyped IndexError from indexing ``alpha`` with 2.5.
+        table = build_viterbi_table(i4, TableMode.PATH)
+        with pytest.raises(InfeasibleLengthError, match="path length must be an integer, got 2.5"):
+            backtrace(table, 2.5)
+        assert backtrace(table, np.int64(3)).positions == (1, 2, 4)
+
 
 class TestArgmaxHypothesis:
     @pytest.mark.parametrize("path", [(1, 99), (1, 10**30), (1, 3, 2, 4), (1, 2)])

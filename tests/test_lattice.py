@@ -328,6 +328,21 @@ class TestInstance:
             Instance.from_probs(**tables)
         assert str(caught.value) == message
 
+    def test_non_integral_size_is_shape_error(self, i2):
+        # L=4.0 once failed with an untyped IndexError, and V=2.0 was kept as a float.
+        for L, V, message in [
+            (4.0, 2, "L must be an integer, got 4.0"),
+            (4, 2.0, "V must be an integer, got 2.0"),
+            ("4", 2, "L must be an integer, got '4'"),
+        ]:
+            with pytest.raises(ShapeError) as caught:
+                Instance(L=L, V=V, log_transitions=np.zeros((4, 4)),
+                         log_emissions=np.zeros((4, 2)))
+            assert str(caught.value) == message
+        sizes = Instance(L=np.int64(2), V=np.int32(2), log_transitions=i2.log_transitions,
+                         log_emissions=i2.log_emissions)
+        assert sizes == i2
+
     def test_not_equal_to_other_types(self, i2):
         assert i2.__eq__(3) is NotImplemented
         assert i2 != 3
@@ -364,6 +379,17 @@ class TestDecodingPath:
         path.check_against(1)
         assert len(path) == 1
 
+    def test_non_integral_position_refused(self):
+        # int() once truncated 2.9 to 2 and read the string "14" as the path (1, 4).
+        for positions, bad in [((1, 2.9, 4), 2.9), ((1.0, 4), 1.0), ("14", "1"),
+                               ((1, np.float64(3), 4), np.float64(3))]:
+            with pytest.raises(PathShapeError) as caught:
+                DecodingPath(positions)
+            assert str(caught.value) == f"path position must be an integer, got {bad!r}"
+        path = DecodingPath(np.array([1, 3, 4]))
+        assert path.positions == (1, 3, 4)
+        assert {type(p) for p in path.positions} == {int}
+
     @given(st.lists(st.integers(min_value=2, max_value=40), min_size=0, max_size=8,
                     unique=True))
     def test_sorted_interior_always_accepted(self, interior):
@@ -387,6 +413,14 @@ class TestTokens:
     def test_valid_pass_through(self, i2):
         assert list(check_tokens(i2, [1, 0])) == [1, 0]
 
+    def test_non_integral_id_refused(self, i2):
+        # int() once truncated 1.9 to 1 and read the string "01" as the tokens [0, 1].
+        for tokens, bad in [([1.9, 0], 1.9), ("01", "0"), ([0, True, 0.0], 0.0)]:
+            with pytest.raises(VocabError) as caught:
+                check_tokens(i2, tokens)
+            assert str(caught.value) == f"token id must be an integer, got {bad!r}"
+        assert list(check_tokens(i2, np.array([1, 0], dtype=np.int32))) == [1, 0]
+
 
 class TestHypothesis:
     def test_joint_logprob_is_the_sum(self):
@@ -398,3 +432,10 @@ class TestHypothesis:
     def test_token_length_must_match_path(self):
         with pytest.raises(ShapeError):
             Hypothesis((1, 2), [0], -1.0, -2.0)
+
+    def test_non_integral_token_refused(self):
+        # int() once made the tokens (0.7, 1.2) into (0, 1).
+        with pytest.raises(VocabError, match="token id must be an integer, got 0.7"):
+            Hypothesis((1, 4), (0.7, 1.2), 0.0, 0.0)
+        with pytest.raises(PathShapeError, match="path position must be an integer, got 4.5"):
+            Hypothesis((1, 4.5), (0, 1), 0.0, 0.0)

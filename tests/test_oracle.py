@@ -9,6 +9,7 @@ from dagdecode import (
     Instance,
     InstanceValidationError,
     ShapeError,
+    VocabError,
     brute_force_best_joint,
     brute_force_best_path,
     brute_force_marginal,
@@ -212,6 +213,14 @@ class TestBlocks:
         peak = traced_peak(lambda: brute_force_marginal(inst, [0] * 10, cap=20))
         assert peak < 3 * oracle.BLOCK_PATHS * 20 * np.dtype(np.intp).itemsize
 
+    def test_memory_with_a_cold_subset_cache(self):
+        # The first search at an s also builds the cached subsets of its low positions.
+        inst = random_instance(0, L=20, V=3)
+        for search in (lambda: brute_force_best_joint(inst, cap=20),
+                       lambda: brute_force_marginal(inst, [0] * 10, cap=20)):
+            oracle._low_sets.cache_clear()
+            assert traced_peak(search) < 3 * oracle.BLOCK_PATHS * 20 * np.dtype(np.intp).itemsize
+
 
 class TestBestPath:
     def test_i2(self, i2):
@@ -312,6 +321,11 @@ class TestMarginal:
 
     def test_no_matching_length_sums_to_zero(self, i4):
         assert brute_force_marginal(i4, [0] * 5) == 0.0
+
+    def test_non_integral_token_refused(self, i4):
+        # As in the log-space marginal: 1.9 was once scored as token 1.
+        with pytest.raises(VocabError, match="token id must be an integer, got 1.9"):
+            brute_force_marginal(i4, [1.9, 0])
 
     def test_empty_tokens_are_a_shape_error(self, i4):
         # As in the log-space marginal that the oracle checks.

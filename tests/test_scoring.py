@@ -239,6 +239,40 @@ class TestMarginalBitIdentity:
         assert str(caught.value) == message
 
 
+class TestNonIntegralInput:
+    """A position or token id that is not an integer is refused, naming it, never truncated."""
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda inst: joint_log_prob(inst, [1, 4], [1.9, 0]),
+            lambda inst: translation_given_path_log_prob(inst, [1, 4], [1.9, 0]),
+            lambda inst: marginal_translation_log_prob(inst, [1.9, 0]),
+        ],
+        ids=["joint", "given-path", "marginal"],
+    )
+    def test_token_id(self, i4, score):
+        with pytest.raises(VocabError) as caught:
+            score(i4)
+        assert str(caught.value) == "token id must be an integer, got 1.9"
+
+    def test_strings_are_not_read_as_digits(self, i4):
+        # "14" was scored as the path (1, 4), and "01" as the tokens [0, 1].
+        with pytest.raises(PathShapeError, match="path position must be an integer, got '1'"):
+            path_log_prob(i4, "14")
+        with pytest.raises(VocabError, match="token id must be an integer, got '0'"):
+            marginal_translation_log_prob(i4, "01")
+
+    def test_position(self, i4):
+        with pytest.raises(PathShapeError, match="path position must be an integer, got 2.9"):
+            path_log_prob(i4, [1, 2.9, 4])
+        with pytest.raises(PathShapeError, match="^position must be an integer, got 2.5$"):
+            argmax_emission(i4, 2.5)
+        path, tokens = np.array([1, 2, 4]), np.array([0, 1, 0], dtype=np.int32)
+        assert joint_log_prob(i4, path, tokens) == joint_log_prob(i4, [1, 2, 4], [0, 1, 0])
+        assert argmax_emission(i4, np.int64(2)) == argmax_emission(i4, 2)
+
+
 class TestScoreOverflow:
     """Scores that overflow on unvalidated tables raise a typed error, without a warning."""
 
