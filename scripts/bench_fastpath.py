@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_fastpath.py --parent REV --out BENCH_mean.json
+    python3 scripts/bench_fastpath.py --parent REV --out bench/BENCH_<topic>.json
 
 ``REV`` must be 01b2358 or later, whose ``benchmark`` takes medians; its
 ``src/`` is exported with ``git archive`` into a temporary directory. Each
@@ -50,7 +50,9 @@ run reports:
 
 The compiled kernels are built, or found in their cache, during the
 warm-up, so no timed call pays for the compiler. Runs are sequential and
-single-threaded.
+single-threaded. The script writes the record, then exits 1 if any
+``identical_*`` field is false. ``bench/README.md`` indexes the committed
+records: a new one adds a row there.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ STRATEGIES = ("viterbi", "joint-viterbi")
 BETAS = (0.0, 1.0)
 TABLE_LENGTHS = (64, 256, 512)
 ANALYZE_STRATEGIES = ("greedy", "lookahead", "viterbi", "joint-viterbi")
-#: Timed repetitions per ``--reps`` of the analyze calls, which are short.
-ANALYZE_REPS_PER_REP = 4
+#: Timed sweeps over lib-decode's 8 instances per run, and timed calls of each table build.
+REPS = 5
+#: Timed calls of each analyze measurement per run, which are short.
+ANALYZE_REPS = 4 * REPS
 #: ``generated``'s (offset, count, L, V) for three perfbench workloads.
 LIB_DECODE, CLI_DECODE, ANALYZE = (0, 8, 256, 32), (1000, 4, 512, 32), (2000, 16, 64, 16)
 #: Instances per L for the oracle on ``oracle-check``'s inputs (its own set is L=13).
@@ -113,7 +117,7 @@ def count_calls(module, name: str) -> list:
     return calls
 
 
-def measure(src: str, reps: int) -> dict:
+def measure(src: str) -> dict:
     """One side's numbers, measured in this (fresh) interpreter."""
     sys.path.insert(0, src)
     import dagdecode
@@ -128,7 +132,7 @@ def measure(src: str, reps: int) -> dict:
     for beta in BETAS:
         for strategy in STRATEGIES:
             samples = []
-            for _ in range(reps):
+            for _ in range(REPS):
                 for inst in instances:
                     start = time.perf_counter()
                     decoders.decode(inst, strategy, beta)
@@ -146,14 +150,14 @@ def measure(src: str, reps: int) -> dict:
         tables.append(inst)
         for mode in decoders.TableMode:
             table_ms[f"{mode.value} L={L}"] = median_ms(
-                lambda: decoders.build_viterbi_table(inst, mode), reps
+                lambda: decoders.build_viterbi_table(inst, mode), REPS
             )
             weights = decoders._hop_weights(inst, mode)
             numpy_table_ms[f"{mode.value} L={L}"] = median_ms(
-                lambda: decoders._numpy_table(*weights), reps
+                lambda: decoders._numpy_table(*weights), REPS
             )
 
-    analyze = measure_analyze(dagdecode, reps * ANALYZE_REPS_PER_REP)
+    analyze = measure_analyze(dagdecode)
     oracle = measure_oracle(dagdecode)
 
     builds = count_calls(decoders, "build_viterbi_table")
@@ -215,7 +219,7 @@ def tables_sha256(dagdecode, instances: list) -> str:
     return digest.hexdigest()
 
 
-def measure_analyze(dagdecode, reps: int) -> dict:
+def measure_analyze(dagdecode) -> dict:
     """Marginal scoring on ``analyze``'s seed-0 instances."""
     from dagdecode import scoring
 
@@ -234,8 +238,8 @@ def measure_analyze(dagdecode, reps: int) -> dict:
         return dagdecode.compare_strategies(instances, ANALYZE_STRATEGIES, "marginal", beta=1.0)
 
     timed = {
-        "marginal_calls_ms": median_ms(score_each, reps),
-        "compare_strategies_ms": median_ms(compare, reps),
+        "marginal_calls_ms": median_ms(score_each, ANALYZE_REPS),
+        "compare_strategies_ms": median_ms(compare, ANALYZE_REPS),
     }
 
     passes = count_calls(scoring, "marginal_translation_log_prob")
@@ -336,9 +340,9 @@ def write_parse_inputs(directory: Path) -> list[Path]:
     return files
 
 
-def run_side(src: Path, reps: int, files: list[Path]) -> dict:
+def run_side(src: Path, files: list[Path]) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--measure", str(src), "--reps", str(reps)],
+        [sys.executable, __file__, "--measure", str(src)],
         check=True, capture_output=True, text=True, cwd=ROOT,
     )
     side = json.loads(out.stdout)
@@ -454,13 +458,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="git revision to compare against")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--reps", type=int, default=5, help="sweeps over the 8 instances per run")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--measure", help=argparse.SUPPRESS)
     parser.add_argument("--measure-parse", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure, args.reps)))
+        print(json.dumps(measure(args.measure)))
         return 0
     if args.measure_parse:
         print(json.dumps(measure_parse(*args.measure_parse)))
@@ -484,9 +487,9 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_side(sides[side], args.reps, files))
+                runs[side].append(run_side(sides[side], files))
     command = ["python3", "scripts/bench_fastpath.py", "--parent", args.parent,
-               "--rounds", str(args.rounds), "--reps", str(args.reps)]
+               "--rounds", str(args.rounds)]
     if args.out:
         command += ["--out", str(args.out)]
     every = runs["parent"] + runs["change"]
@@ -515,22 +518,15 @@ def main(argv=None) -> int:
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
         "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},
     }
-    before, after = doc["before"]["read"], doc["after"]["read"]
-    doc["read_speedup"] = {
-        "instance_from_dict_plus_validate": round(
-            before["instance_from_dict_plus_validate_ms"]
-            / after["instance_from_dict_plus_validate_ms"], 2
-        ),
-        "with_json_loads": round(
-            (before["json_loads_ms"] + before["instance_from_dict_plus_validate_ms"])
-            / (after["json_loads_ms"] + after["instance_from_dict_plus_validate_ms"]), 2
-        ),
-    }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
+    differ = [k for k, v in doc.items() if k.startswith("identical_") and not v]
+    if differ:
+        print(f"the two sides differ: {', '.join(differ)} false", file=sys.stderr)
+        return 1
     return 0
 
 

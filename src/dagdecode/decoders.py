@@ -32,13 +32,11 @@ writes the backpointers in their final dtype (``np.min_scalar_type(L)``).
 The pass's fill and the table's push are one max-plus loop, run with and
 without backpointers. All read the transitions in
 place and add the JOINT bonus per column, so none makes an L x L weights
-array. They live in one library, compiled with ``cc`` the first time any
-runs, never at import (about 0.4 s, once per cache), and cached in
-``$XDG_CACHE_HOME/dagdecode`` (default ``~/.cache/dagdecode``). On every
-``Instance``'s weights, which hold no NaN, they return what the numpy search
-(``_numpy_decode``, built on ``_numpy_pass``) and table (``_numpy_table``)
-return; they take the plain maximum, as the table does. Where the library
-cannot be compiled or loaded, the process silently runs the numpy code.
+array. ``_cpass`` says how their library is compiled, cached and loaded.
+On every ``Instance``'s weights, which hold no NaN, they return what the
+numpy search (``_numpy_decode``, built on ``_numpy_pass``) and table
+(``_numpy_table``) return. Where the library cannot be compiled or
+loaded, the process silently runs the numpy code.
 
 Tie-breaking is fixed everywhere so identical inputs decode identically:
 backpointers prefer the smallest predecessor position, length selection

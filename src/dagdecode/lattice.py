@@ -190,7 +190,7 @@ def as_path(path) -> DecodingPath:
     """Coerce a position sequence into a DecodingPath, validating its shape."""
     if isinstance(path, DecodingPath):
         return path
-    return DecodingPath(tuple(path))
+    return DecodingPath(path)
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,10 @@ def as_integer(value, error: type[Exception], name: str) -> int:
 
 def _as_integers(values, error: type[Exception], name: str) -> tuple[int, ...]:
     """Each of ``values`` by :func:`as_integer`, one ``map`` where all are integers."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error(f"{name}s must be a sequence, got {values!r}") from None
     try:
         return tuple(map(operator.index, values))
     except TypeError:

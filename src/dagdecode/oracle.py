@@ -123,7 +123,7 @@ def _marginal_blocks(instance: Instance, toks: np.ndarray, L: int) -> Iterator[l
     trans = np.exp(instance.log_transitions)
     emis = np.exp(instance.log_emissions)
     s = _low_count(L)
-    top = min(s, len(toks) - 1)
+    top = min(s, max(len(toks) - 2, 0))
     rows, _, starts, last, _ = _low_sets(s)
     prefix = _prefixes(trans, s, top)
     for c in range(top + 1):

@@ -16,7 +16,7 @@ from dagdecode import (
     VocabError,
     validate,
 )
-from dagdecode.lattice import NORMALIZATION_TOL, VALIDATE_BLOCK_ROWS, check_tokens
+from dagdecode.lattice import NORMALIZATION_TOL, VALIDATE_BLOCK_ROWS, as_path, check_tokens
 from dagdecode.logmath import LOG_ZERO
 
 from conftest import (
@@ -390,6 +390,13 @@ class TestDecodingPath:
         assert path.positions == (1, 3, 4)
         assert {type(p) for p in path.positions} == {int}
 
+    def test_not_a_sequence_refused(self):
+        for positions in (4, None, 2.5):
+            with pytest.raises(PathShapeError) as caught:
+                as_path(positions)
+            assert str(caught.value) == f"path positions must be a sequence, got {positions!r}"
+        assert as_path(p for p in (1, 2)) == DecodingPath((1, 2))
+
     @given(st.lists(st.integers(min_value=2, max_value=40), min_size=0, max_size=8,
                     unique=True))
     def test_sorted_interior_always_accepted(self, interior):
@@ -420,6 +427,12 @@ class TestTokens:
                 check_tokens(i2, tokens)
             assert str(caught.value) == f"token id must be an integer, got {bad!r}"
         assert list(check_tokens(i2, np.array([1, 0], dtype=np.int32))) == [1, 0]
+
+    def test_not_a_sequence_refused(self, i2):
+        with pytest.raises(VocabError, match=r"^token ids must be a sequence, got 3$"):
+            check_tokens(i2, 3)
+        with pytest.raises(VocabError, match=r"^token ids must be a sequence, got 5$"):
+            Hypothesis((1, 2), 5, 0.0, 0.0)
 
 
 class TestHypothesis:

@@ -204,6 +204,22 @@ class TestBlocks:
                 want = reference_oracle_marginal(inst, tokens)
                 assert brute_force_marginal(inst, tokens).hex() == want.hex()
 
+    def test_marginal_builds_only_the_prefix_sizes_it_reads(self, monkeypatch):
+        # A path of M positions ends at L, above the low ones, so it takes at most M - 2 of them.
+        tops, prefixes = [], oracle._prefixes
+
+        def counted(trans, s, top):
+            tops.append(top)
+            return prefixes(trans, s, top)
+
+        monkeypatch.setattr(oracle, "_prefixes", counted)
+        for L, M in [(1, 1), (2, 1), (2, 2), (4, 2), (10, 3), (10, 6), (10, 11)]:
+            tops.clear()
+            inst, tokens = random_instance(L, L=L, V=2), [0] * M
+            want = reference_oracle_marginal(inst, tokens)
+            assert brute_force_marginal(inst, tokens).hex() == want.hex()
+            assert tops == [min(oracle._low_count(L), max(M - 2, 0))]
+
     def test_memory_is_a_few_blocks(self):
         # At L=20 the most common length has C(18, 9) = 48,620 paths, whose positions
         # alone would take 7.8 MB as one array, and whose terms 1.6 MB as one list.

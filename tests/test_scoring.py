@@ -272,6 +272,26 @@ class TestNonIntegralInput:
         assert joint_log_prob(i4, path, tokens) == joint_log_prob(i4, [1, 2, 4], [0, 1, 0])
         assert argmax_emission(i4, np.int64(2)) == argmax_emission(i4, 2)
 
+    @pytest.mark.parametrize(
+        "score, error, message",
+        [
+            (lambda inst: path_log_prob(inst, 4), PathShapeError,
+             "path positions must be a sequence, got 4"),
+            (lambda inst: translation_given_path_log_prob(inst, 5, [0]), PathShapeError,
+             "path positions must be a sequence, got 5"),
+            (lambda inst: marginal_translation_log_prob(inst, 3), VocabError,
+             "token ids must be a sequence, got 3"),
+            (lambda inst: brute_force_marginal(inst, None), VocabError,
+             "token ids must be a sequence, got None"),
+        ],
+        ids=["path", "given-path", "marginal", "oracle-marginal"],
+    )
+    def test_not_a_sequence(self, i4, score, error, message):
+        # Each raised a bare TypeError ("'int' object is not iterable"), no LatticeError.
+        with pytest.raises(error) as caught:
+            score(i4)
+        assert str(caught.value) == message
+
 
 class TestScoreOverflow:
     """Scores that overflow on unvalidated tables raise a typed error, without a warning."""
