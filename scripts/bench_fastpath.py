@@ -1,4 +1,4 @@
-"""Before/after timing of ``decode``, the table build, marginal scoring, the oracle and reading.
+"""Before/after timing of ``decode``, the table build, marginals, the oracle, reading and writing.
 
 Run from the root of a checkout:
 
@@ -40,6 +40,9 @@ run reports:
   and the sha256 of every result (each length's path
   and ``float.hex`` of its probability, the global best and the path count;
   the marginal's ``float.hex``), which must match across sides;
+- on ``cli-decode``'s 4 instances: the median time of ``save_instance``
+  per file, ``tracemalloc``'s peak over one save of the first, and the
+  sha256 of the bytes written, which must match across sides;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
 - on ``cli-decode``'s 4 files (written once, by this checkout), each in a
   fresh interpreter per side: ``json.loads`` of its text,
@@ -159,6 +162,7 @@ def measure(src: str) -> dict:
 
     analyze = measure_analyze(dagdecode)
     oracle = measure_oracle(dagdecode)
+    write = measure_write(dagdecode)
 
     builds = count_calls(decoders, "build_viterbi_table")
     work = {}
@@ -197,6 +201,7 @@ def measure(src: str) -> dict:
         "work": work,
         "analyze": analyze,
         "oracle": oracle,
+        "write": write,
         "criterion7_ratio": joint.ratio_vs_baseline,
         "criterion7_greedy_us": greedy.median_seconds * 1e6,
         "criterion7_joint_viterbi_ms": joint.median_seconds * 1e3,
@@ -285,6 +290,28 @@ def measure_oracle(dagdecode) -> dict:
         "median_ms": times,
         "tracemalloc_peak_kb": peaks,
         "results_sha256": hashlib.sha256(json.dumps(results).encode()).hexdigest(),
+    }
+
+
+def measure_write(dagdecode) -> dict:
+    """``save_instance`` of ``cli-decode``'s seed-0 instances, into a temporary file."""
+    import tracemalloc
+
+    instances = perfbench_inputs(dagdecode, CLI_DECODE)
+    times, written = [], hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        for inst in instances:
+            times.append(median_ms(lambda: dagdecode.save_instance(inst, path), REPS))
+            written.update(path.read_bytes())
+        tracemalloc.start()
+        dagdecode.save_instance(instances[0], path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return {
+        "save_ms": times,
+        "tracemalloc_peak_mb": peak / 1e6,
+        "written_sha256": written.hexdigest(),
     }
 
 
@@ -427,6 +454,14 @@ def summarize(runs: list[dict]) -> dict:
         "oracle_tracemalloc_peak_kb": {
             k: round(v, 1) for k, v in runs[0]["oracle"]["tracemalloc_peak_kb"].items()
         },
+        "write": {
+            "save_ms": [med([r["write"]["save_ms"][k] for r in runs])
+                        for k in range(len(runs[0]["write"]["save_ms"]))],
+            "save_ms_per_round": [
+                round(statistics.median(r["write"]["save_ms"]), 2) for r in runs
+            ],
+            "tracemalloc_peak_mb": med([r["write"]["tracemalloc_peak_mb"] for r in runs]),
+        },
         "criterion7_ratio": {
             "median": med([r["criterion7_ratio"] for r in runs]),
             "per_round": [round(r["criterion7_ratio"], 2) for r in runs],
@@ -500,8 +535,9 @@ def main(argv=None) -> int:
         "workload": "perfbench's seed-0 inputs, from its generated(): decode(inst, strategy, "
         "beta) on lib-decode's 8 L=256 V=32 instances; marginal scoring and compare_strategies "
         "on analyze's 16 L=64 V=16 instances, 4 strategies, beta 1; reading and decoding "
-        "cli-decode's 4 L=512 V=32 files, one fresh interpreter per file; criterion 7 on "
-        "seeds 99000-99002 at beta 1; build_viterbi_table on one V=32 instance (seed 0) "
+        "cli-decode's 4 L=512 V=32 files, one fresh interpreter per file, and saving its 4 "
+        "instances; criterion 7 on seeds 99000-99002 at beta 1; build_viterbi_table on one "
+        "V=32 instance (seed 0) "
         f"at L {TABLE_LENGTHS}; the oracle on oracle-check's V=5 inputs, "
         f"{ORACLE_LENGTHS} instances per L",
         "identical_cli_stdout": len({
@@ -514,6 +550,7 @@ def main(argv=None) -> int:
         ),
         "identical_oracle_results": len({r["oracle"]["results_sha256"] for r in every}) == 1,
         "identical_tables": len({r["tables_sha256"] for r in every}) == 1,
+        "identical_written_files": len({r["write"]["written_sha256"] for r in every}) == 1,
         "rounds": args.rounds,
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
         "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},

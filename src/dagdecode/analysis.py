@@ -24,7 +24,7 @@ from .decoders import (
     decode,
     table_decode,
 )
-from .lattice import Instance
+from .lattice import Instance, later_hops
 
 SCORE_KINDS = ("joint", "marginal")
 
@@ -87,11 +87,15 @@ def compare_strategies(
     else:
         scores = {name: [] for name in strategies}
         for inst, (hyps, _) in zip(instances, per_instance):
-            marginals = {}  # each distinct token sequence is scored once per instance
+            # Each distinct token sequence is scored once per instance, and
+            # all of an instance's forward passes share one mask of its hops.
+            marginals, hops = {}, later_hops(inst.log_transitions)
             for name in strategies:
                 tokens = hyps[name].tokens
                 if tokens not in marginals:
-                    marginals[tokens] = scoring.marginal_translation_log_prob(inst, tokens)
+                    marginals[tokens] = scoring.marginal_translation_log_prob(
+                        inst, tokens, hops=hops
+                    )
                 scores[name].append(marginals[tokens])
 
     avg = {name: float(np.mean(scores[name])) for name in strategies}

@@ -9,7 +9,18 @@ A table of plain ints, floats and nulls is read in one numpy conversion.
 Only a table with any other cell, or with a cell that conversion cannot
 take (an int beyond float range, a NaN or an infinity), is read cell by
 cell, to name the first bad ``[i][j]``; either way the table, or the
-error and its message, is the same.
+error and its message, is the same. The parsed tables are kept by the
+instance without a copy.
+
+A file is written as ``json.dumps(instance_to_dict(instance), indent=2)``
+writes it, byte for byte. But any ``indent`` makes ``json`` skip its C
+encoder and yield every number, comma and newline from Python. So each
+table goes through the C encoder with ``indent=2``'s cell break as its item
+separator, and one replace turns the breaks between rows into
+``indent=2``'s. The small values keep ``indent=2``, nested one level.
+Saving an L=512, V=32 instance (a 5.4 MB file) takes 109–135 ms and a
+``tracemalloc`` peak of 19.9 MB, against 184–246 ms and 32.7 MB through
+``indent=2`` alone (``bench/BENCH_write.json``).
 """
 
 from __future__ import annotations
@@ -128,6 +139,7 @@ def instance_from_dict(doc, run_validation: bool = True) -> Instance:
         log_emissions=emis,
         vocab=vocab,
         meta=doc.get("meta"),
+        _fresh_tables=True,
     )
     if run_validation:
         violations = validate(instance)
@@ -151,13 +163,56 @@ def parse_instance(text: str, run_validation: bool = True) -> Instance:
     return instance_from_dict(doc, run_validation=run_validation)
 
 
+#: ``indent=2``'s break between two cells of a table row, and between two rows.
+_CELL_BREAK = ",\n      "
+_ROW_BREAK = "\n    ],\n    [\n      "
+
+
 def serialize_instance(instance: Instance) -> str:
-    """JSON text for an instance; inverse of :func:`parse_instance`."""
-    return json.dumps(instance_to_dict(instance), indent=2)
+    """JSON text for an instance; inverse of :func:`parse_instance`.
+
+    The text is ``json.dumps(instance_to_dict(instance), indent=2)``, byte
+    for byte, but each table is written by json's C encoder (see the module
+    docstring).
+    """
+    fields = {"L": _nested(instance.L), "V": _nested(instance.V),
+              "log_transitions": _table_text(instance.log_transitions),
+              "log_emissions": _table_text(instance.log_emissions)}
+    if instance.vocab is not None:
+        fields["vocab"] = _nested(instance.vocab)
+    if instance.meta is not None:
+        fields["meta"] = _nested(instance.meta)
+    parts = []
+    for key, text in fields.items():
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def save_instance(instance: Instance, path) -> None:
-    Path(path).write_text(serialize_instance(instance) + "\n")
+    """Write :func:`serialize_instance`'s text and a final newline to ``path``."""
+    text = serialize_instance(instance)
+    with Path(path).open("w") as out:
+        out.write(text)
+        out.write("\n")
+
+
+def _nested(value) -> str:
+    """``value`` as ``indent=2`` writes it one level down: a string's newlines are escaped."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _table_text(table: np.ndarray) -> str:
+    """A table as ``indent=2`` writes it one level down, from json's C encoder.
+
+    The C encoder, which takes no ``indent``, puts ``_CELL_BREAK`` between
+    rows as well as between cells, and a number's text holds no bracket or
+    comma, so one replace of ``"]" + _CELL_BREAK + "["`` fixes the
+    row breaks. A table has at least one row of at least one cell.
+    """
+    text = json.dumps(_table_to_lists(table), separators=(_CELL_BREAK, ": "))
+    rows = text[2:-2].replace("]" + _CELL_BREAK + "[", _ROW_BREAK)
+    return "[\n    [\n      " + rows + "\n    ]\n  ]"
 
 
 def _table_to_lists(table: np.ndarray) -> list[list[float | None]]:

@@ -11,7 +11,7 @@ Positions are 1-based everywhere a human sees them; array indexing is 0-based.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -46,9 +46,13 @@ class Instance:
     meta : mapping, optional
         Free-form provenance carried through serialization.
 
-    Both tables are kept as read-only, C-ordered float64 copies, with the
-    read-only per-position ``best_token`` (smallest id on ties) and
-    ``best_emission`` (its log-probability). A JOINT hop t -> u weighs
+    Both tables are kept as read-only, C-ordered float64 copies, so a
+    caller's array is never aliased nor made read-only. The one exception
+    is private: :mod:`dagdecode.io` passes ``_fresh_tables=True`` for the
+    tables it has just built and keeps no reference to, and those are kept
+    as they are. The instance also holds the read-only per-position
+    ``best_token`` (smallest id on ties) and ``best_emission`` (its
+    log-probability). A JOINT hop t -> u weighs
     ``log_transitions[t, u] + best_emission[u]``.
 
     Raises ``InstanceValidationError`` naming the first NaN or ``+inf``
@@ -65,15 +69,17 @@ class Instance:
     meta: Mapping | None = None
     best_token: np.ndarray = field(init=False, repr=False)
     best_emission: np.ndarray = field(init=False, repr=False)
+    _fresh_tables: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh_tables):
         as_integer(self.L, ShapeError, "L")
         as_integer(self.V, ShapeError, "V")
         if self.L < 1 or self.V < 1:
             raise ShapeError(f"L and V must be >= 1, got L={self.L} V={self.V}")
         # C order, whatever the input's: the compiled pass reads rows in place.
-        trans = np.array(self.log_transitions, dtype=np.float64, order="C")
-        emis = np.array(self.log_emissions, dtype=np.float64, order="C")
+        keep = np.asarray if _fresh_tables else np.array
+        trans = keep(self.log_transitions, dtype=np.float64, order="C")
+        emis = keep(self.log_emissions, dtype=np.float64, order="C")
         if trans.shape != (self.L, self.L):
             raise ShapeError(
                 f"log_transitions has shape {trans.shape}, expected {(self.L, self.L)}"

@@ -67,7 +67,7 @@ def joint_log_prob(instance: Instance, path, tokens) -> float:
     return _finite_score(joint, "joint log-probability")
 
 
-def marginal_translation_log_prob(instance: Instance, tokens) -> float:
+def marginal_translation_log_prob(instance: Instance, tokens, *, hops=None) -> float:
     """Log-probability of ``tokens`` summed over all paths of its length.
 
     Forward recursion over (target index, lattice position) with
@@ -88,6 +88,9 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
     Raises InfeasibleLengthError when no path of that length can exist
     (more tokens than positions, or a single token on a multi-position
     lattice); infeasibility is a distinct signal, not ``-inf``.
+
+    ``hops``, if given, must be ``later_hops(instance.log_transitions)``:
+    a caller that scores many sequences of one instance builds it once.
     """
     toks = check_tokens(instance, tokens)
     M, L = len(toks), instance.L
@@ -100,7 +103,8 @@ def marginal_translation_log_prob(instance: Instance, tokens) -> float:
     emissions = instance.log_emissions
     if M == 1:
         return float(emissions[0, toks[0]])
-    hops = later_hops(instance.log_transitions)
+    if hops is None:
+        hops = later_hops(instance.log_transitions)
     width = L - M + 1
     # forward[k] is the log-score of the tokens so far ending at 0-based position start + k.
     forward, start = emissions[0, toks[:1]], 0

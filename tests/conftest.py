@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from dagdecode import (
     decoders,
     generate_instance,
 )
+from dagdecode.io import instance_to_dict
 from dagdecode.lattice import NORMALIZATION_TOL, check_tokens, later_hops
 from dagdecode.logmath import LOG_ZERO, logsumexp
 from dagdecode.oracle import EnumerationResult
@@ -206,6 +208,15 @@ def reference_marginal(instance: Instance, tokens) -> float:
         hopped = logsumexp(forward[:, None] + hops, axis=0)
         forward = hopped + instance.log_emissions[:, tok]
     return float(forward[L - 1])
+
+
+def reference_serialize_instance(instance: Instance) -> str:
+    """The instance file's text by ``json.dumps(..., indent=2)``, json's pure-Python encoder.
+
+    The byte-identity reference for ``serialize_instance``, which writes the
+    tables through json's C encoder instead.
+    """
+    return json.dumps(instance_to_dict(instance), indent=2)
 
 
 def reference_generate_instance(config: GeneratorConfig) -> Instance:

@@ -37,20 +37,21 @@ def analyze_inputs():
 
 @pytest.fixture
 def marginal_work(monkeypatch) -> dict:
-    """Every forward pass (instance id, tokens) and every ``later_hops`` build of the marginal."""
+    """Every forward pass (instance id, tokens) and every ``later_hops`` build for the marginal."""
     work = {"passes": [], "hop_builds": 0}
     marginal, later_hops = scoring.marginal_translation_log_prob, scoring.later_hops
 
-    def counted_marginal(instance, tokens):
+    def counted_marginal(instance, tokens, **kwargs):
         work["passes"].append((id(instance), tuple(tokens)))
-        return marginal(instance, tokens)
+        return marginal(instance, tokens, **kwargs)
 
     def counted_hops(log_transitions):
         work["hop_builds"] += 1
         return later_hops(log_transitions)
 
     monkeypatch.setattr(scoring, "marginal_translation_log_prob", counted_marginal)
-    monkeypatch.setattr(scoring, "later_hops", counted_hops)
+    for module in (scoring, analysis):
+        monkeypatch.setattr(module, "later_hops", counted_hops)
     return work
 
 
@@ -145,8 +146,8 @@ class TestMarginalScores:
         }
         assert len(distinct) == 44  # of 64 hypotheses
         assert sorted(marginal_work["passes"]) == sorted(distinct)
-        # Each pass is one public call, which masks the hops no path takes for itself.
-        assert marginal_work["hop_builds"] == len(distinct)
+        # Each pass is one public call; the hops no path takes are masked once per instance.
+        assert marginal_work["hop_builds"] == len(instances)
         for name in STRATEGIES:
             expected = np.mean([reference_marginal(i, h.tokens) for i, h in zip(instances, hyps[name])])
             assert repr(report.per_strategy_avg_logprob[name]) == repr(float(expected))

@@ -17,7 +17,7 @@ from dagdecode.cli import main, run_cli
 from dagdecode.decoders import STRATEGIES
 from dagdecode.io import instance_to_dict
 
-from conftest import run_python, with_transitions
+from conftest import reference_serialize_instance, run_python, with_transitions
 
 
 @pytest.fixture
@@ -772,6 +772,16 @@ class TestDeterminism:
             a = (tmp_path / "a" / f"inst_{k}.json").read_bytes()
             b = (tmp_path / "b" / f"inst_{k}.json").read_bytes()
             assert a == b
+
+    def test_gen_files_are_the_reference_text(self, capsys, tmp_path):
+        args = ["gen", "--length", "30", "--vocab", "4", "--seed", "3", "--count", "2",
+                "--sparsity", "0.3", "--emission-concentration", "0.5", "--out", str(tmp_path)]
+        run(capsys, args)
+        for k in (3, 4):
+            config = dagdecode.GeneratorConfig(L=30, V=4, seed=k, sparsity=0.3,
+                                               emission_concentration=0.5)
+            expected = reference_serialize_instance(dagdecode.generate_instance(config)) + "\n"
+            assert (tmp_path / f"inst_{k}.json").read_bytes() == expected.encode()
 
 
 class TestHelp:

@@ -28,6 +28,8 @@ from conftest import (
     random_instance,
     reference_generate_instance,
     reference_lists_to_table,
+    reference_serialize_instance,
+    traced_peak,
 )
 
 
@@ -93,6 +95,87 @@ class TestRoundTrip:
         target = tmp_path / "inst.json"
         save_instance(inst, target)
         assert parse_instance(target.read_text()) == inst
+
+
+def writer_outcome(write, instance):
+    """``write(instance)``, or its exception's type and message."""
+    try:
+        return write(instance)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Finite cells whose shortest repr has an exponent, a signed zero or a subnormal.
+ODD_FLOATS = [-0.0, 5e-324, 1e308, 1e16, 1e-05, 123456789.0]
+
+
+class TestWriter:
+    """``serialize_instance`` and ``save_instance`` write the reference's bytes."""
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.7])
+    def test_generated_lattices(self, sparsity):
+        for L in range(1, 41):
+            for V in range(1, 8):
+                inst = random_instance(100 * L + V, L=L, V=V, sparsity=sparsity)
+                assert serialize_instance(inst) == reference_serialize_instance(inst)
+
+    def test_odd_floats(self):
+        negated = [-v for v in ODD_FLOATS]  # 0.0 and -1e308: no JOINT weight overflows
+        row = ODD_FLOATS + [-math.inf, *negated]
+        trans = [[-math.inf, *negated], *[[-math.inf] * 7] * 6]
+        inst = Instance(L=7, V=len(row), log_transitions=trans, log_emissions=[row] * 7)
+        assert serialize_instance(inst) == reference_serialize_instance(inst)
+
+    @pytest.mark.parametrize("vocab", [
+        None, ["a", "b"], ['say "hi"', "back\\slash"], ["two\nlines", "tab\tand\r"],
+        ["\u00e9t\u00e9", "\u2603\U0001f600"], ["", " "],
+    ])
+    @pytest.mark.parametrize("meta", [
+        None, {}, [], {"n": None}, {"a": {"b": [1, [2.5, {}]], "c": []}, "d": "x\ny"},
+        {"generator": {"L": 2, "seed": 3, "sparsity": 0.3}}, [None, True, "\u00e9"],
+    ])
+    def test_vocab_and_meta(self, vocab, meta):
+        inst = random_instance(4, L=3, V=2)
+        inst = Instance(L=3, V=2, log_transitions=inst.log_transitions,
+                        log_emissions=inst.log_emissions, vocab=vocab, meta=meta)
+        assert serialize_instance(inst) == reference_serialize_instance(inst)
+
+    @pytest.mark.parametrize("meta", [{"x": object()}, {"x": {1, 2}}, {"x": [1, {2j}]},
+                                      {"x": np.int64(3)}])
+    def test_unserializable_meta_raises_as_the_reference(self, meta):
+        inst = Instance(L=1, V=1, log_transitions=[[-math.inf]], log_emissions=[[0.0]],
+                        meta=meta)
+        outcome = writer_outcome(serialize_instance, inst)
+        assert outcome[0] is TypeError
+        assert outcome == writer_outcome(reference_serialize_instance, inst)
+
+    def test_circular_meta_raises_as_the_reference(self):
+        meta = {"x": []}
+        meta["x"].append(meta)
+        inst = Instance(L=1, V=1, log_transitions=[[-math.inf]], log_emissions=[[0.0]],
+                        meta=meta)
+        outcome = writer_outcome(serialize_instance, inst)
+        assert outcome == (ValueError, "Circular reference detected")
+        assert outcome == writer_outcome(reference_serialize_instance, inst)
+
+    def test_saved_file_is_the_reference_text_and_a_newline(self, tmp_path):
+        for k, inst in enumerate(random_batch(4, seed0=40, L=30, V=5, sparsity=0.3)):
+            save_instance(inst, tmp_path / f"{k}.json")
+            expected = reference_serialize_instance(inst) + "\n"
+            assert (tmp_path / f"{k}.json").read_bytes() == expected.encode()
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("run_validation", [False, True])
+    def test_parsed_tables_are_kept_without_a_copy(self, run_validation):
+        doc = instance_to_dict(random_instance(1000, L=512, V=32))
+        peak = traced_peak(lambda: instance_from_dict(doc, run_validation=run_validation))
+        inst = instance_from_dict(doc, run_validation=run_validation)
+        kept = inst.log_transitions.nbytes + inst.log_emissions.nbytes
+        # A second copy of the transitions alone would take the peak to 1.9x.
+        assert peak < 1.25 * kept
+        assert not inst.log_transitions.flags.writeable
+        assert not inst.log_emissions.flags.writeable
 
 
 class TestParseErrors:

@@ -288,6 +288,21 @@ class TestInstance:
         with pytest.raises(ValueError):
             i2.log_emissions[0, 0] = 0.0
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_tables_are_copied(self, i4, writeable, order):
+        # Only the tables io has just built are kept as they are.
+        trans = np.array(i4.log_transitions, order=order)
+        emis = np.array(i4.log_emissions, order=order)
+        for table in (trans, emis):
+            table.setflags(write=writeable)
+        inst = Instance(L=4, V=2, log_transitions=trans, log_emissions=emis)
+        for table, kept in ((trans, inst.log_transitions), (emis, inst.log_emissions)):
+            assert not np.shares_memory(table, kept)
+            assert table.flags.writeable == writeable
+            assert not kept.flags.writeable
+            assert np.array_equal(table, kept)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             Instance(L=3, V=2, log_transitions=np.zeros((2, 2)), log_emissions=np.zeros((3, 2)))
