@@ -45,11 +45,13 @@ run reports:
   sha256 of the bytes written, which must match across sides;
 - whether the compiled kernels (``dagdecode._cpass``) were in use;
 - on ``cli-decode``'s 4 files (written once, by this checkout), each in a
-  fresh interpreter per side: ``json.loads`` of its text,
-  ``instance_from_dict(..., run_validation=False)`` and ``validate``, after
-  the imports; and the wall time of a whole ``dagdecode decode --strategy
-  joint-viterbi`` subprocess on it, with the sha256 of its stdout, which
-  must match across sides.
+  fresh interpreter per side: the time of one ``parse_instance`` of its
+  text, validation included, after the imports (so it loads the compiled
+  library, as a CLI run does), ``tracemalloc``'s peak over a second, and
+  the sha256 of the parsed tables' bytes, which must match across sides;
+  and the wall time of a whole ``dagdecode decode --strategy joint-viterbi``
+  subprocess on it, with the sha256 of its stdout, which must match across
+  sides.
 
 The compiled kernels are built, or found in their cache, during the
 warm-up, so no timed call pays for the compiler. Runs are sequential and
@@ -334,24 +336,25 @@ def oracle_fields(result) -> list:
 
 
 def measure_parse(src: str, file: str) -> dict:
-    """The read stages of one file, timed in this (fresh) interpreter after its imports."""
+    """``parse_instance`` of one file, timed in this (fresh) interpreter after its imports."""
+    import tracemalloc
+
     sys.path.insert(0, src)
-    from dagdecode import io, lattice
+    from dagdecode import io
 
     text = Path(file).read_bytes().decode()
     start = time.perf_counter()
-    doc = json.loads(text)
-    parsed = time.perf_counter()
-    instance = io.instance_from_dict(doc, run_validation=False)
-    built = time.perf_counter()
-    violations = lattice.validate(instance)
-    validated = time.perf_counter()
+    instance = io.parse_instance(text)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    io.parse_instance(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tables = instance.log_transitions.tobytes() + instance.log_emissions.tobytes()
     return {
-        "json_loads_ms": (parsed - start) * 1e3,
-        "instance_from_dict_ms": (built - parsed) * 1e3,
-        "validate_ms": (validated - built) * 1e3,
-        "instance_from_dict_plus_validate_ms": (validated - parsed) * 1e3,
-        "violations": len(violations),
+        "parse_instance_ms": elapsed * 1e3,
+        "tracemalloc_peak_mb": peak / 1e6,
+        "tables_sha256": hashlib.sha256(tables).hexdigest(),
     }
 
 
@@ -395,14 +398,12 @@ def run_side(src: Path, files: list[Path]) -> dict:
 
 
 def summarize_parse(runs: list[dict]) -> dict:
-    """Medians, over every file of every round, of the read stages and the CLI's wall time."""
+    """Medians, over every file of every round, of ``parse_instance`` and the CLI's wall time."""
 
     walls = sorted(c["wall_ms"] for r in runs for c in r["cli_decode"])
-    stages = ("json_loads_ms", "instance_from_dict_ms", "validate_ms",
-              "instance_from_dict_plus_validate_ms")
     return {
-        **{s: round(statistics.median(p[s] for r in runs for p in r["parse"]), 2) for s in stages},
-        "violations": sorted({p["violations"] for r in runs for p in r["parse"]}),
+        **{s: round(statistics.median(p[s] for r in runs for p in r["parse"]), 2)
+           for s in ("parse_instance_ms", "tracemalloc_peak_mb")},
         "cli_decode_wall_ms": {
             "median": round(statistics.median(walls), 1),
             "p75": round(walls[int(0.75 * (len(walls) - 1))], 1),
@@ -551,6 +552,9 @@ def main(argv=None) -> int:
         "identical_oracle_results": len({r["oracle"]["results_sha256"] for r in every}) == 1,
         "identical_tables": len({r["tables_sha256"] for r in every}) == 1,
         "identical_written_files": len({r["write"]["written_sha256"] for r in every}) == 1,
+        "identical_parsed_tables": len({
+            tuple(p["tables_sha256"] for p in r["parse"]) for r in every
+        }) == 1,
         "rounds": args.rounds,
         "before": {**summarize(runs["parent"]), "read": summarize_parse(runs["parent"])},
         "after": {**summarize(runs["change"]), "read": summarize_parse(runs["change"])},

@@ -1,4 +1,4 @@
-"""The two compiled kernels, built from C and loaded with ``ctypes``.
+"""The compiled kernels and table reader, built from C and loaded with ``ctypes``.
 
 ``decode`` runs the whole search of an exact decode at beta 0 or 1, what
 ``decoders._numpy_decode`` computes, in one call: at beta 1 the walk that
@@ -13,15 +13,19 @@ table, what ``decoders._numpy_table`` computes, writing the backpointers
 straight into their final dtype, ``np.min_scalar_type(L)`` as there. Both
 fill through one max-plus step, ``relax``: the pass pushes each reachable
 position's row into its scores, the table each source's row into the next
-length's, with the backpointers beside them. On its first call, never at
-import, ``load()`` loads the library that holds both from its cache, compiling
-``SOURCE`` into it first if it is missing (about 0.4 s), with the system
-C compiler (``cc``) and ``FLAGS``: ``-O3``, but no fast-math and no
-contraction, so each kernel does numpy's float operations in numpy's order
-and, on NaN-free weights, returns what its numpy counterpart returns; and
-each function on a 64-byte boundary, so a kernel's speed does not hang on
-the size of the code before it (the same pass machine code, 48 bytes past
-a boundary, made PATH beta 1 searches 7% slower).
+length's, with the backpointers beside them. ``read`` finds and reads the
+two tables of a JSON instance document in one walk of its bytes, for
+``io.parse_instance``; it reads only what it can read exactly as ``json``
+does and leaves any other text to ``json`` (see ``dagdecode_read``). On its
+first call, never at import, ``load()`` loads the library that holds all
+three from its cache, compiling ``SOURCE`` into it first if it is missing
+(about 0.5 s), with the system C compiler (``cc``) and ``FLAGS``: ``-O3``,
+but no fast-math and no contraction, so each kernel does numpy's float
+operations in numpy's order and, on NaN-free weights, returns what its
+numpy counterpart returns; and each function on a 64-byte boundary, so a
+kernel's speed does not hang on the size of the code before it (the same
+pass machine code, 48 bytes past a boundary, made PATH beta 1 searches 7%
+slower).
 The cache is ``$XDG_CACHE_HOME/dagdecode`` (``~/.cache/dagdecode`` where
 that variable is unset, empty or relative; mode 0700); the file name is
 keyed by the CRC-32 of the source, the flags and the machine (``zlib``
@@ -264,16 +268,221 @@ long dagdecode_decode(const double *restrict trans, const double *restrict bonus
         cur = cur == path ? path + n : path;
     }
 }
+
+/* JSON's four whitespace bytes. */
+static inline int space(char c)
+{
+    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
+}
+
+static inline const char *skip_space(const char *p)
+{
+    while (space(*p))
+        p++;
+    return p;
+}
+
+/* Reads the JSON number at *p, which must have a fraction or an exponent (json
+   reads an integer as an int, and -0 as +0), into *out and moves *p past it.
+   Returns 0, with *p anywhere, where the text there is no such number or its
+   value is not finite. The value is float()'s: exact by Clinger's fast case
+   (Clinger, PLDI 1990) where the significand's digits read as an integer of at
+   most 2^53 and the power of ten is at most 22, so that one IEEE multiply or
+   divide of two exact doubles rounds once; else strtod, which must stop where
+   the token ends (in a locale whose decimal point is not '.', it does not). */
+static int number(const char **p, double *out)
+{
+    static const double tens[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                  1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                                  1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    const char *s = *p, *c = s + (*s == '-');
+    unsigned long long w = 0;
+    int big = 0, real = 0;
+    long e = 0, power = 0, sign = 1;
+    if (*c == '0')
+        c++;
+    else if (*c >= '1' && *c <= '9')
+        for (; *c >= '0' && *c <= '9'; c++)
+            big = big || (w = w * 10 + (unsigned long long)(*c - '0')) > (1ULL << 53);
+    else
+        return 0;
+    if (*c == '.') {
+        if (!(*++c >= '0' && *c <= '9'))
+            return 0;
+        for (; *c >= '0' && *c <= '9'; c++, power--)
+            big = big || (w = w * 10 + (unsigned long long)(*c - '0')) > (1ULL << 53);
+        real = 1;
+    }
+    if (*c == 'e' || *c == 'E') {
+        c++;
+        if (*c == '+' || *c == '-')
+            sign = *c++ == '-' ? -1 : 1;
+        if (!(*c >= '0' && *c <= '9'))
+            return 0;
+        for (; *c >= '0' && *c <= '9'; c++)
+            e = e < 100000 ? e * 10 + (*c - '0') : e;
+        power += sign * e;
+        real = 1;
+    }
+    if (!real)
+        return 0;
+    *p = c;
+#if FLT_EVAL_METHOD == 0
+    if (!big && power >= -22 && power <= 22) {
+        double v = power < 0 ? (double)w / tens[-power] : (double)w * tens[power];
+        *out = *s == '-' ? -v : v;
+        return 1;
+    }
+#endif
+    char *stop;
+    *out = strtod(s, &stop);
+    return stop == c && isfinite(*out);
+}
+
+/* Reads the table at *p, strictly [[cell, ...], ...] with at least one row,
+   rows of one width, and each cell null (-inf) or a number(), into out, which
+   has room for cap cells; moves *p past it and writes its shape. Returns 0 for
+   any other text. */
+static int read_table(const char **p, double *restrict out, long cap, long *shape)
+{
+    const char *c = *p;
+    long cells = 0, rows = 0, width = 0;
+    if (*c != '[')
+        return 0;
+    c = skip_space(c + 1);
+    for (;;) {
+        if (*c != '[')
+            return 0;
+        c = skip_space(c + 1);
+        long start = cells;
+        for (;;) {
+            if (cells == cap)
+                return 0;
+            if (c[0] == 'n' && c[1] == 'u' && c[2] == 'l' && c[3] == 'l') {
+                out[cells++] = -INFINITY;
+                c += 4;
+            } else if (!number(&c, out + cells++))
+                return 0;
+            c = skip_space(c);
+            if (*c != ',')
+                break;
+            c = skip_space(c + 1);
+        }
+        if (*c != ']' || (rows && cells - start != width))
+            return 0;
+        width = cells - start;
+        rows++;
+        c = skip_space(c + 1);
+        if (*c != ',')
+            break;
+        c = skip_space(c + 1);
+    }
+    if (*c != ']')
+        return 0;
+    *p = c + 1;
+    shape[0] = rows;
+    shape[1] = width;
+    return 1;
+}
+
+/* Moves past the JSON value at p, unchecked: to the bracket that closes it, or
+   to the first comma, whitespace or closing bracket outside any bracket, minding
+   strings and their escapes. Returns NULL where the text ends first. */
+static const char *skip_value(const char *p, const char *end)
+{
+    long depth = 0;
+    for (; p < end; p++) {
+        if (*p == '"') {
+            for (p++; p < end && *p != '"'; p++)
+                p += *p == '\\';
+            if (p >= end)
+                return NULL;
+        } else if (*p == '[' || *p == '{') {
+            depth++;
+        } else if (*p == ']' || *p == '}') {
+            if (depth == 0)
+                return p;
+            if (--depth == 0)
+                return p + 1;
+        } else if (depth == 0 && (*p == ',' || space(*p))) {
+            return p;
+        }
+    }
+    return depth == 0 ? p : NULL;
+}
+
+/* How many commas text[0 .. n) holds: a table of c cells holds c - 1. */
+long dagdecode_commas(const char *text, long n)
+{
+    long count = 0;
+    for (long i = 0; i < n; i++)
+        count += text[i] == ',';
+    return count;
+}
+
+/* Finds and reads the two tables of the JSON instance document text[0 .. n),
+   whose byte text[n] must be 0, in one walk of its top-level object: the value
+   of key "log_transitions" goes to table 0 and that of "log_emissions" to table
+   1, each by read_table into out (cap cells in all). info[5k .. 5k+4] receives
+   table k's byte span in the text (start, end), its first cell in out, and its
+   rows and width. Other values are skipped unchecked. Returns 0 where a table
+   is missing, seen twice or not read, a top-level key holds a backslash (an
+   escape could spell a table's key), or the walk finds no object there. */
+long dagdecode_read(const char *text, long n, double *restrict out, long cap, long *info)
+{
+    const char *end = text + n, *p = skip_space(text);
+    long used = 0, found = 0;
+    if (*p != '{')
+        return 0;
+    p = skip_space(p + 1);
+    for (;;) {
+        if (*p != '"')
+            return 0;
+        const char *key = ++p;
+        while (p < end && *p != '"')
+            if (*p++ == '\\')
+                return 0;
+        if (p >= end)
+            return 0;
+        long size = p - key, k = size == 15 && !memcmp(key, "log_transitions", 15) ? 0
+                                : size == 13 && !memcmp(key, "log_emissions", 13) ? 1 : -1;
+        p = skip_space(p + 1);
+        if (*p != ':')
+            return 0;
+        p = skip_space(p + 1);
+        if (k < 0) {
+            if (!(p = skip_value(p, end)))
+                return 0;
+        } else {
+            long *t = info + 5 * k;
+            if (found & (1 << k))
+                return 0;
+            found |= 1 << k;
+            t[0] = p - text;
+            t[2] = used;
+            if (!read_table(&p, out + used, cap - used, t + 3))
+                return 0;
+            t[1] = p - text;
+            used += t[3] * t[4];
+        }
+        p = skip_space(p);
+        if (*p != ',')
+            break;
+        p = skip_space(p + 1);
+    }
+    return *p == '}' && skip_space(p + 1) == end && found == 3;
+}
 """
 
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-falign-functions=64")
 
 
 class Kernels(NamedTuple):
-    """The library's two entry points (see ``_bind``); a pass runs through ``decode`` at beta 0."""
+    """The library's entry points (see ``_bind``); a pass runs through ``decode`` at beta 0."""
 
     table: Callable
     decode: Callable
+    read: Callable
 
 
 #: None until the first ``load()``; then the kernels, or False if they failed.
@@ -353,6 +562,13 @@ def _bind(lib) -> Kernels:
     decode_fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                           ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     decode_fn.restype = ctypes.c_long
+    read_fn = lib.dagdecode_read
+    read_fn.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+                        ctypes.c_void_p)
+    read_fn.restype = ctypes.c_long
+    commas_fn = lib.dagdecode_commas
+    commas_fn.argtypes = (ctypes.c_char_p, ctypes.c_long)
+    commas_fn.restype = ctypes.c_long
 
     def table(trans: np.ndarray, bonus: np.ndarray | None, start: float):
         """``decoders._numpy_table(trans, bonus, start)``, in one compiled call.
@@ -385,4 +601,25 @@ def _bind(lib) -> Kernels:
             return None, -count, passes.value
         return tuple(path[n - count : n]), None, passes.value
 
-    return Kernels(table, decode)
+    def read(data: bytes):
+        """The tables of the JSON instance document ``data``, or None where it is not read.
+
+        Returns ``[(start, end, table)]`` for ``log_transitions`` and then
+        ``log_emissions``: each value's byte span in ``data`` and its float64
+        table, ``null`` read as ``-inf``. Both tables are views of one buffer
+        of two more cells than ``data`` has commas: a table of c cells holds
+        c - 1 commas, so the buffer is never too small, and it exceeds the
+        tables by the commas outside them. The commas are counted in C:
+        ``bytes.count`` took about 2 ms longer on a 5.4 MB file. None is no
+        verdict on the document: see ``dagdecode_read`` for what it does
+        not read.
+        """
+        cells = np.empty(commas_fn(data, len(data)) + 2)
+        info = (ctypes.c_long * 10)()
+        if not read_fn(data, len(data), cells.ctypes.data, len(cells), info):
+            return None
+        spans = [info[k : k + 5] for k in (0, 5)]
+        return [(start, end, cells[at : at + rows * width].reshape(rows, width))
+                for start, end, at, rows, width in spans]
+
+    return Kernels(table, decode, read)

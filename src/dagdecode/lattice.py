@@ -48,11 +48,11 @@ class Instance:
 
     Both tables are kept as read-only, C-ordered float64 copies, so a
     caller's array is never aliased nor made read-only. The one exception
-    is private: :mod:`dagdecode.io` passes ``_fresh_tables=True`` for the
-    tables it has just built and keeps no reference to, and those are kept
-    as they are. The instance also holds the read-only per-position
-    ``best_token`` (smallest id on ties) and ``best_emission`` (its
-    log-probability). A JOINT hop t -> u weighs
+    is private: :mod:`dagdecode.io` and :meth:`from_probs` pass
+    ``_fresh_tables=True`` for the tables they have just built and keep no
+    reference to, and those are kept as they are. The instance also holds
+    the read-only per-position ``best_token`` (smallest id on ties) and
+    ``best_emission`` (its log-probability). A JOINT hop t -> u weighs
     ``log_transitions[t, u] + best_emission[u]``.
 
     Raises ``InstanceValidationError`` naming the first NaN or ``+inf``
@@ -133,6 +133,7 @@ class Instance:
             log_emissions=_log_table(emis, "emissions"),
             vocab=vocab,
             meta=meta,
+            _fresh_tables=True,
         )
 
     def __eq__(self, other):

@@ -21,7 +21,7 @@ from dagdecode import (
     decoders,
     generate_instance,
 )
-from dagdecode.io import instance_to_dict
+from dagdecode.io import instance_from_dict, instance_to_dict, serialize_instance
 from dagdecode.lattice import NORMALIZATION_TOL, check_tokens, later_hops
 from dagdecode.logmath import LOG_ZERO, logsumexp
 from dagdecode.oracle import EnumerationResult
@@ -217,6 +217,144 @@ def reference_serialize_instance(instance: Instance) -> str:
     tables through json's C encoder instead.
     """
     return json.dumps(instance_to_dict(instance), indent=2)
+
+
+def reference_parse_instance(text: str, run_validation: bool = True) -> Instance:
+    """``parse_instance`` by ``json.loads`` and ``instance_from_dict`` alone.
+
+    The identity reference for the compiled table reader, which must give
+    the same instance, or the same exception type and message, on any text.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(
+            f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+    except RecursionError:
+        raise InstanceFormatError("not valid JSON: nested too deeply to parse") from None
+    except ValueError as exc:
+        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    return instance_from_dict(doc, run_validation=run_validation)
+
+
+def parse_outcome(parse, text: str, run_validation: bool = True):
+    """What ``parse(text)`` gives: the instance's fields and table bytes, or its exception."""
+    try:
+        inst = parse(text, run_validation=run_validation)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (inst.L, inst.V, inst.vocab, inst.meta, inst.log_transitions.tobytes(),
+            inst.log_emissions.tobytes())
+
+
+def reader_corpus() -> list[tuple[str, str, bool]]:
+    """``(name, text, read)``: instance texts around the compiled reader's rules.
+
+    ``read`` says whether the reader takes the text (True) or leaves it to
+    ``json.loads`` (False). Either way, ``parse_instance`` must give what
+    :func:`reference_parse_instance` gives.
+    """
+    inst = Instance.from_probs(I4_TRANSITIONS, I4_EMISSIONS, vocab=["a", "b"], meta={"k": [1]})
+    doc = instance_to_dict(inst)
+    fields = {k: json.dumps(v) for k, v in doc.items()}
+
+    def text(**raw):
+        """The document with each key's raw text replaced or added (None drops the key)."""
+        pieces = {**fields, **raw}
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in pieces.items() if v is not None) + "}"
+
+    def in_order(*keys):
+        return "{" + ", ".join(f'"{k}": {fields[k]}' for k in keys) + "}"
+
+    trans, emis = fields["log_transitions"], fields["log_emissions"]
+    swapped = json.dumps([row[::-1] for row in doc["log_emissions"]])
+    first = json.dumps(doc["log_emissions"][0][0])
+    second = json.dumps(doc["log_emissions"][1][0])
+    hop = json.dumps(doc["log_transitions"][0][1])
+
+    def cell(token):
+        """The document with the first emission cell written as ``token``."""
+        return text(log_emissions=emis.replace(first, token, 1))
+
+    read = [
+        ("writer", serialize_instance(inst)),
+        ("no spaces", json.dumps(doc, separators=(",", ":"))),
+        ("tables first", in_order("log_transitions", "log_emissions", "L", "V")),
+        ("emissions first", in_order("log_emissions", "meta", "L", "log_transitions", "V")),
+        ("tabs and carriage returns", serialize_instance(inst).replace("\n", "\r\n\t")),
+        ("meta holds table keys", text(meta='{"log_transitions": [[1]], "log_emissions": 2}')),
+        ("vocab holds a table key", text(vocab=r'["\"log_transitions\": [[", "]]\\"]')),
+        ("escaped quote in vocab", text(vocab=r'["a\"b", "c"]')),
+        ("meta strings hold brackets", text(meta='{"s": "[[{{", "t": ["}", "]"]}')),
+        ("non-ASCII vocab", text(vocab='["été", "字"]')),
+        ("escaped vocab", text(vocab=r'["\u00e9", "\ud83d\ude00\ud800"]')),
+        ("extra keys", text(extra='[1, {"a": "]"}, null, true]', z='"}"')),
+        ("L given twice", text(L="9")[:-1] + ', "L": 4}'),
+        ("no vocab or meta", text(vocab=None, meta=None)),
+        ("null vocab and meta", text(vocab="null", meta="null")),
+        ("vocab too short", text(vocab='["a"]')),
+        ("vocab not strings", text(vocab='["a", 1]')),
+        ("L not an integer", text(L="4.0")),
+        ("L true", text(L="true")),
+        ("L a string", text(L='"4"')),
+        ("V zero", text(V="0")),
+        ("no L", text(L=None)),
+        ("transitions mis-sized", text(L="3")),
+        ("emissions mis-sized", text(V="3")),
+        ("not normalized", cell("-0.5")),
+        ("minus zero", cell("-0.0")),
+        ("upper-case exponent", cell("-1.0536051565782628E-1")),
+        ("exponent", cell("-10.536051565782628e-2")),
+        ("subnormal", cell("5e-324")),
+        ("underflow", cell("1e-400")),
+        ("long significand", cell("-0.105360515657826301227500" + "0" * 40)),
+        ("joint overflow", text(log_transitions=trans.replace(hop, "1e308", 1),
+                                log_emissions=emis.replace(second, "1e308", 1))),
+    ]
+    left = [
+        ("integer cell", cell("0")),
+        ("minus zero integer", cell("-0")),
+        ("NaN", cell("NaN")),
+        ("Infinity", cell("Infinity")),
+        ("-Infinity", cell("-Infinity")),
+        ("out of range", cell("1e999")),
+        ("true cell", cell("true")),
+        ("string cell", cell('"1.5"')),
+        ("leading zero", cell("01.5")),
+        ("leading zero integer", cell("01")),
+        ("plus sign integer", cell("+1")),
+        ("no integer part", cell(".5")),
+        ("no fraction digits", cell("5.")),
+        ("plus sign", cell("+1.5")),
+        ("no exponent digits", cell("1e")),
+        ("double comma", cell("-0.1,")),
+        ("trailing comma in a row", text(log_emissions=emis.replace("]", ", ]", 1))),
+        ("trailing comma in the object", text()[:-1] + ", }"),
+        ("ragged", text(log_emissions=emis.replace("]", ", -1.5]", 1))),
+        ("empty table", text(log_emissions="[]")),
+        ("empty rows", text(log_emissions="[[], [], [], []]")),
+        ("table not a list", text(log_emissions='{"0": [0.5]}')),
+        ("BOM", "\ufeff" + serialize_instance(inst)),
+        ("lone surrogate", text(vocab='["\ud800", "b"]')),
+        ("escaped table key", text(log_emissions=None)[:-1] + f', "log_\\u0065missions": {emis}}}'),
+        ("escaped table key last", text()[:-1] + f', "log_\\u0065missions": {swapped}}}'),
+        ("table key twice", text()[:-1] + f', "log_emissions": {emis}}}'),
+        ("missing table", text(log_emissions=None)),
+        ("top-level array", "[1, 2]"),
+        ("empty object", "{}"),
+        ("empty text", ""),
+        ("text after the object", text() + " x"),
+        ("unterminated meta string", text(meta='"abc')),
+        ("control character in vocab", text(vocab='["a", "c\td"]')),
+        ("deep meta", text(meta="[" * 200_000 + "]" * 200_000)),
+        ("long integer L", text(L="4" + "0" * 5000)),
+        ("NULL", cell("NULL")),
+        ("nul", cell("nul")),
+        ("number then junk", cell("-0.1x")),
+        ("NUL byte", cell("-0.1\0")),
+    ]
+    return [(n, t, True) for n, t in read] + [(n, t, False) for n, t in left]
 
 
 def reference_generate_instance(config: GeneratorConfig) -> Instance:

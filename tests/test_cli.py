@@ -12,12 +12,18 @@ import numpy as np
 import pytest
 
 import dagdecode
-from dagdecode import Instance, TableMode, save_instance, scoring
+from dagdecode import Instance, TableMode, _cpass, io, save_instance, scoring
 from dagdecode.cli import main, run_cli
 from dagdecode.decoders import STRATEGIES
 from dagdecode.io import instance_to_dict
 
-from conftest import reference_serialize_instance, run_python, with_transitions
+from conftest import (
+    reader_corpus,
+    reference_parse_instance,
+    reference_serialize_instance,
+    run_python,
+    with_transitions,
+)
 
 
 @pytest.fixture
@@ -757,6 +763,73 @@ class TestGenAnalyzeBench:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory) -> list[Path]:
+    """Generated files, L 1-64, in one directory of dense and one of sparse lattices."""
+    root = tmp_path_factory.mktemp("reader")
+    for sparsity in (0.0, 0.5):
+        directory = root / f"sparsity-{sparsity}"
+        directory.mkdir()
+        for L in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+            config = dagdecode.GeneratorConfig(L=L, V=4, seed=L, sparsity=sparsity)
+            save_instance(dagdecode.generate_instance(config), directory / f"L{L}.json")
+    return sorted(root.iterdir())
+
+
+def with_and_without_reader(capsys, monkeypatch, commands) -> tuple[list, list]:
+    """Each command's ``(code, stdout, stderr)``, run with the compiled reader and without it.
+
+    Checks that both runs give the same, and returns them with whether the
+    reader took each file it was given.
+    """
+    read_tables, taken = io._read_tables, []
+
+    def spy(text):
+        tables = read_tables(text)
+        taken.append(tables is not None)
+        return tables
+
+    monkeypatch.setattr(io, "_read_tables", spy)
+    with_reader = [run(capsys, argv) for argv in commands]
+    monkeypatch.setattr(io, "_read_tables", lambda text: None)
+    assert [run(capsys, argv) for argv in commands] == with_reader
+    return with_reader, taken
+
+
+class TestReader:
+    """The CLI prints the same, byte for byte, and exits the same, with the compiled reader or not."""
+
+    def test_generated_files(self, capsys, monkeypatch, reader_inputs):
+        commands = [["analyze", "--inputs", str(d), "--score", "marginal"] for d in reader_inputs]
+        for path in (p for d in reader_inputs for p in sorted(d.iterdir())):
+            L, file = json.loads(path.read_text())["L"], str(path)
+            ends = sorted({1, L})
+            commands += [["decode", "--strategy", s, "--input", file] for s in STRATEGIES]
+            commands += [["decode", "--strategy", s, "--all-lengths", "--input", file]
+                         for s in ("viterbi", "joint-viterbi")]
+            commands.append(["score", "--marginal", "--path", ",".join(map(str, ends)),
+                             "--tokens", ",".join("0" * len(ends)), "--input", file])
+            commands.append(["oracle", "--mode", "joint", "--input", file])
+        outcomes, taken = with_and_without_reader(capsys, monkeypatch, commands)
+        assert {code for code, _, _ in outcomes} == {0, 2}  # the oracle refuses L > 12
+        assert len(taken) == 18 * 8 + 18 and all(taken) == (_cpass.load() is not None)
+
+    def test_corpus_files(self, capsys, monkeypatch, tmp_path):
+        commands, refused = [], []
+        for k, (name, text, _) in enumerate(reader_corpus()):
+            path = tmp_path / f"{k}.json"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            commands.append(["decode", "--strategy", "joint-viterbi", "--input", str(path)])
+            try:
+                reference_parse_instance(text)
+            except Exception:
+                refused.append(k)
+        outcomes, _ = with_and_without_reader(capsys, monkeypatch, commands)
+        for k in refused:
+            code, out, err = outcomes[k]
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_decode_output_bit_identical(self, capsys, i4_file):
         argv = ["decode", "--strategy", "joint-viterbi", "--beta", "0.5", "--input", str(i4_file)]
@@ -782,6 +855,14 @@ class TestDeterminism:
                                                emission_concentration=0.5)
             expected = reference_serialize_instance(dagdecode.generate_instance(config)) + "\n"
             assert (tmp_path / f"inst_{k}.json").read_bytes() == expected.encode()
+
+    def test_gen_bytes_are_pinned(self, capsys, tmp_path):
+        # The sha256 of files written before from_probs kept its log tables uncopied.
+        args = ["gen", "--length", "30", "--vocab", "4", "--seed", "3", "--sparsity", "0.3",
+                "--emission-concentration", "0.5", "--out", str(tmp_path)]
+        assert run(capsys, args)[0] == 0
+        digest = hashlib.sha256((tmp_path / "inst_3.json").read_bytes()).hexdigest()
+        assert digest == "dd51c7f8364c9bb048abcd18e5e7873201b92ead67cd7a69308264260bf95f6b"
 
 
 class TestHelp:

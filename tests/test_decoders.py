@@ -288,7 +288,7 @@ class TestViterbiTable:
         # JOINT weights with a zero bonus are PATH weights: the same tables, byte for byte,
         # and the same searches.
         numpy = decoders._numpy_table, decoders._numpy_decode
-        table, search = _compiled_or_skip() if backend == "compiled" else numpy
+        table, search = _compiled_or_skip()[:2] if backend == "compiled" else numpy
         for L in [*range(1, 40), 64, 255, 256, 257]:
             inst = random_instance(L, L=L, V=8, sparsity=0.3 if L % 4 == 0 else 0.0)
             trans = inst.log_transitions

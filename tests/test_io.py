@@ -1,9 +1,10 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagdecode import (
@@ -20,14 +21,18 @@ from dagdecode import (
     serialize_instance,
     validate,
 )
+from dagdecode import _cpass, io
 from dagdecode.io import _lists_to_table, _table_to_lists, instance_from_dict, instance_to_dict
 from dagdecode.logmath import LOG_ZERO
 
 from conftest import (
+    parse_outcome,
     random_batch,
     random_instance,
+    reader_corpus,
     reference_generate_instance,
     reference_lists_to_table,
+    reference_parse_instance,
     reference_serialize_instance,
     traced_peak,
 )
@@ -174,6 +179,129 @@ class TestReadMemory:
         kept = inst.log_transitions.nbytes + inst.log_emissions.nbytes
         # A second copy of the transitions alone would take the peak to 1.9x.
         assert peak < 1.25 * kept
+        assert not inst.log_transitions.flags.writeable
+        assert not inst.log_emissions.flags.writeable
+
+
+def compiled_reader():
+    """The compiled kernels, whose ``read`` takes the tables; they load wherever ``cc`` is."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    kernels = _cpass.load()
+    assert kernels is not None
+    return kernels
+
+
+def read_token(token: str):
+    """The value the compiled reader gives a table cell written as ``token``, or None."""
+    text = f'{{"log_transitions": [[{token}]], "log_emissions": [[{token}]]}}'
+    tables = compiled_reader().read(text.encode())
+    return None if tables is None else float(tables[0][2][0, 0])
+
+
+def json_float(token: str):
+    """``json``'s float for ``token``; None where it reads an int or a non-finite value."""
+    if not any(c in token for c in ".eE"):
+        return None
+    value = float(token)
+    return value if math.isfinite(value) else None
+
+
+def decimal_token(digits: int, point: int, exponent, negative: bool) -> str:
+    """``digits`` with a decimal point after its first ``point`` digits and an exponent."""
+    d = str(digits)
+    whole, fraction = d[:point] or "0", d[point:]
+    text = ("-" if negative else "") + whole + ("." + fraction if fraction else "")
+    return text + (f"e{exponent}" if exponent is not None else "")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Significands around Clinger's 2^53 bound and of 19-20 digits, then any.
+SIGNIFICANDS = st.one_of(
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 10**19 - 1, 10**19,
+                     2**64 - 1, 2**64, 10**20 - 1]),
+    st.integers(10**18, 10**20), st.integers(0, 10**20),
+)
+#: Exponents at Clinger's +-22 bound, at the subnormal and overflow ends, then any.
+EXPONENTS = st.one_of(
+    st.none(), st.sampled_from([-23, -22, 22, 23, -324, -308, 308, 309]),
+    st.integers(-30, 30), st.integers(-360, 320),
+)
+TOKENS = st.one_of(
+    FINITE.map(repr),
+    st.builds(lambda x, n: f"{x:.{n}g}", FINITE, st.integers(1, 20)),
+    st.builds(lambda x, n: f"{x:.{n}e}", FINITE, st.integers(0, 20)),
+    st.floats(0.0, 2.3e-308).map(repr),
+    st.builds(decimal_token, SIGNIFICANDS, st.integers(0, 22), EXPONENTS, st.booleans()),
+)
+
+
+class TestReader:
+    """``parse_instance`` gives the instance, or the error, of ``json.loads`` and ``instance_from_dict``."""
+
+    CASES = reader_corpus()
+
+    @pytest.mark.parametrize("run_validation", [True, False])
+    @pytest.mark.parametrize("name, text, read", CASES,
+                             ids=[name.replace(" ", "-") for name, _, _ in CASES])
+    def test_corpus(self, monkeypatch, name, text, read, run_validation):
+        expected = parse_outcome(reference_parse_instance, text, run_validation)
+        assert parse_outcome(parse_instance, text, run_validation) == expected
+        compiled_reader()
+        assert (io._read_tables(text) is not None) == read
+        monkeypatch.setattr(_cpass, "_kernels", False)
+        assert io._read_tables(text) is None
+        assert parse_outcome(parse_instance, text, run_validation) == expected
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.7])
+    def test_generated_lattices(self, sparsity):
+        compiled_reader()
+        for L in (1, 2, 3, 7, 20, 64):
+            for V in (1, 5):
+                text = serialize_instance(random_instance(10 * L + V, L=L, V=V, sparsity=sparsity))
+                assert io._read_tables(text) is not None
+                assert parse_outcome(parse_instance, text) == parse_outcome(
+                    reference_parse_instance, text
+                )
+
+    def test_random_bit_patterns(self):
+        # The finite doubles of 10,000 random bit patterns, as repr, %.17g and %.15g.
+        compiled_reader()
+        bits = np.random.default_rng(0).integers(0, 2**64, 10_000, dtype=np.uint64)
+        values = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+        tokens = [t for x in values for t in (repr(x), f"{x:.17g}", f"{x:.15g}")
+                  if json_float(t) is not None]
+        row = "[" + ", ".join(tokens) + "]"
+        text = f'{{"log_transitions": [{row}], "log_emissions": [{row}]}}'
+        [(_, _, got), _] = compiled_reader().read(text.encode())
+        assert got.tobytes() == np.array([[float(t) for t in tokens]]).tobytes()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(TOKENS)
+    @example("2.4703282292062327e-324")  # just below half the least subnormal: 0.0
+    @example("2.4703282292062328e-324")  # just above it: 5e-324
+    @example("2.2250738585072011e-308")  # the largest subnormal, from above
+    @example("9007199254740993.0")  # 2^53 + 1, which no double holds
+    @example("9007199254740993e-22")
+    @example("0.1e23")  # 1 x 10^22, Clinger's last exact power
+    @example("1e23")
+    @example("1.7976931348623157e308")
+    @example("1.7976931348623159e308")  # rounds to +inf: left to json
+    @example("-0.0")
+    @example("0.0e-99999999999999999999")
+    def test_numbers_are_floats(self, token):
+        got, expected = read_token(token), json_float(token)
+        assert (got is None) == (expected is None)
+        if expected is not None:
+            assert got.hex() == expected.hex()
+
+    def test_parse_memory(self):
+        # The encoded text and the tables; through json.loads alone the peak was 8.3 MB.
+        compiled_reader()
+        text = serialize_instance(random_instance(1000, L=512, V=32))
+        inst = parse_instance(text)
+        kept = inst.log_transitions.nbytes + inst.log_emissions.nbytes
+        assert traced_peak(lambda: parse_instance(text)) < len(text) + 1.1 * kept
         assert not inst.log_transitions.flags.writeable
         assert not inst.log_emissions.flags.writeable
 

@@ -17,14 +17,17 @@ from dagdecode import (
     validate,
 )
 from dagdecode.lattice import NORMALIZATION_TOL, VALIDATE_BLOCK_ROWS, as_path, check_tokens
-from dagdecode.logmath import LOG_ZERO
+from dagdecode.logmath import LOG_ZERO, log_from_prob
 
 from conftest import (
     I2_EMISSIONS,
     I2_TRANSITIONS,
+    I4_EMISSIONS,
+    I4_TRANSITIONS,
     random_batch,
     random_instance,
     reference_validate,
+    traced_peak,
 )
 
 
@@ -302,6 +305,29 @@ class TestInstance:
             assert table.flags.writeable == writeable
             assert not kept.flags.writeable
             assert np.array_equal(table, kept)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_from_probs_never_aliases_caller_tables(self, writeable, order):
+        # from_probs keeps the log tables it has just built, never the caller's arrays.
+        trans = np.array(I4_TRANSITIONS, order=order)
+        emis = np.array(I4_EMISSIONS, order=order)
+        for table in (trans, emis):
+            table.setflags(write=writeable)
+        inst = Instance.from_probs(trans, emis)
+        for table, kept in ((trans, inst.log_transitions), (emis, inst.log_emissions)):
+            assert not np.shares_memory(table, kept)
+            assert table.flags.writeable == writeable
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+            assert kept.tobytes() == log_from_prob(table).tobytes()
+
+    def test_from_probs_copies_no_log_table(self):
+        # A generated L=512 instance: the probabilities, then one log copy of each
+        # table. A second copy took the peak to 3.0x what is kept.
+        random_instance(1000, L=512, V=32)
+        peak = traced_peak(lambda: random_instance(1000, L=512, V=32))
+        inst = random_instance(1000, L=512, V=32)
+        assert peak < 2.5 * (inst.log_transitions.nbytes + inst.log_emissions.nbytes)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
